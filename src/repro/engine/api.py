@@ -32,8 +32,6 @@ from ..compile import DEFAULT_SEMANTICS, SEMANTICS_MODES
 from ..errors import ReproError
 from ..reduce.policy import (
     DEFAULT_REDUCE,
-    OWNERSHIP_FIELD,
-    OWNERSHIP_MODES,
     REDUCE_MODES,
     REDUCE_NONE,
     REDUCE_POR,
@@ -73,17 +71,13 @@ class EngineSpec:
     #: subtree back to the shared frontier (work-stealing granularity).
     spill_nodes: int = 10_000
     #: State-space reductions (:mod:`repro.reduce`): ``"none"``,
-    #: ``"por"`` (partial-order reduction + hash-consing) or
-    #: ``"por+sym"`` (adds address-symmetry canonicalization).  Default
-    #: on for sequential and parallel; each program's static eligibility
-    #: filters the mode down to what is provably sound for it, so the
-    #: explored history/observable sets never change.
+    #: ``"por"`` (partial-order reduction + hash-consing), ``"por+sym"``
+    #: (adds address-symmetry canonicalization) or ``"por+sym+tsym"``
+    #: (adds sleep sets and thread-identity symmetry; the default).  Each
+    #: program's static eligibility filters the mode down to what is
+    #: provably sound for it, so the explored history/observable sets
+    #: never change.
     reduce: str = DEFAULT_REDUCE
-    #: Ownership granularity the eligibility scan uses: ``"field"``
-    #: (default) refines offsets/roots with the field-sensitive escape
-    #: analysis of :mod:`repro.analysis.escape`; ``"coarse"`` keeps the
-    #: plain syntactic scan (the E13 ablation).
-    ownership: str = OWNERSHIP_FIELD
     #: Step semantics (:mod:`repro.compile`): ``"compiled"`` (default)
     #: drives exploration off per-method transition tables, degrading
     #: automatically to the AST-walking interpreter when the program
@@ -99,10 +93,6 @@ class EngineSpec:
             raise ReproError(
                 f"unknown reduction mode {self.reduce!r}; "
                 f"known: {REDUCE_MODES}")
-        if self.ownership not in OWNERSHIP_MODES:
-            raise ReproError(
-                f"unknown ownership mode {self.ownership!r}; "
-                f"known: {OWNERSHIP_MODES}")
         if self.semantics not in SEMANTICS_MODES:
             raise ReproError(
                 f"unknown semantics mode {self.semantics!r}; "
@@ -127,7 +117,7 @@ class EngineSpec:
         """The canonical ``"+"``-joined string form of this spec.
 
         ``resolve_engine(spec.spelling())`` reproduces ``kind``, ``memo``,
-        ``reduce``, ``ownership`` and ``semantics``; numeric knobs
+        ``reduce`` and ``semantics``; numeric knobs
         (workers, seed, walks, spill budget) have no string form and
         fall back to their defaults on the round trip.
         """
@@ -140,8 +130,6 @@ class EngineSpec:
                 bits.append("noreduce")
             else:
                 bits.extend(self.reduce.split("+"))
-        if self.ownership != OWNERSHIP_FIELD:
-            bits.append(self.ownership)
         if self.semantics != DEFAULT_SEMANTICS:
             bits.append(self.semantics)
         return "+".join(bits)
@@ -157,8 +145,6 @@ class EngineSpec:
             bits.append("memo")
         if self.reduce != DEFAULT_REDUCE:
             bits.append(f"reduce={self.reduce}")
-        if self.ownership != OWNERSHIP_FIELD:
-            bits.append(f"ownership={self.ownership}")
         if self.semantics != DEFAULT_SEMANTICS:
             bits.append(f"semantics={self.semantics}")
         return ",".join(bits)
@@ -184,11 +170,10 @@ def resolve_engine(engine: Engine) -> EngineSpec:
 
 
 #: Modifier tokens a string spelling accepts after the engine kind.
-#: Order-insensitive: ``"parallel+por+sym+tsym+coarse+compiled"`` and
-#: ``"parallel+compiled+tsym+coarse+sym+por"`` resolve identically.
+#: Order-insensitive: ``"parallel+por+sym+tsym+compiled"`` and
+#: ``"parallel+compiled+tsym+sym+por"`` resolve identically.
 _MODIFIERS = frozenset(
-    {"memo", "noreduce", "por", "sym", "tsym", "coarse",
-     "interp", "compiled"})
+    {"memo", "noreduce", "por", "sym", "tsym", "interp", "compiled"})
 
 _REDUCTION_FLAGS = frozenset({"por", "sym", "tsym"})
 
@@ -254,7 +239,6 @@ def _parse_spelling(text: str) -> EngineSpec:
         kind=kind,
         memo="memo" in seen,
         reduce=reduce,
-        ownership="coarse" if "coarse" in seen else OWNERSHIP_FIELD,
         semantics=semantics,
     )
 

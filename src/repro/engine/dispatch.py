@@ -45,16 +45,10 @@ def _reduce_extras(spec: EngineSpec) -> tuple:
     Reduction preserves the history/observable *sets* and every verdict,
     but changes node counts, terminal-configuration representatives and
     the perf counters carried by results — so reduced and unreduced runs
-    must not share a memo entry.  The coarse-ownership ablation changes
-    the same observables and gets its own entries; the default
-    field-sensitive mode keeps the unsuffixed keys so existing caches
-    stay valid for the programs it does not change.
+    must not share a memo entry.
     """
 
-    extras = ("reduce", spec.reduce)
-    if spec.ownership != "field":
-        extras += ("ownership", spec.ownership)
-    return extras
+    return ("reduce", spec.reduce)
 
 
 def _semantics_extras(spec: EngineSpec) -> tuple:
@@ -101,6 +95,25 @@ def _memo_store(cache: Optional[MemoCache], key: Optional[str],
         cache.put(key, result)
 
 
+def _run(payload, problem: str, spec: EngineSpec):
+    """Run ``payload``'s search on the engine ``spec`` selects
+    (``problem`` names its :mod:`repro.engine.parallel` problem class)."""
+
+    if spec.kind == RANDOM_WALK:
+        from .random_walk import random_walk
+
+        return random_walk(payload, walks=spec.walks, seed=spec.seed)
+    if spec.kind == PARALLEL:
+        from . import parallel
+
+        return parallel.run_parallel(getattr(parallel, problem)(payload),
+                                     spec.effective_workers(),
+                                     spec.spill_nodes)
+    from ..semantics.scheduler import run_search
+
+    return run_search(payload)
+
+
 # ---------------------------------------------------------------------------
 # Plain exploration
 # ---------------------------------------------------------------------------
@@ -109,7 +122,7 @@ def _memo_store(cache: Optional[MemoCache], key: Optional[str],
 def dispatch_explore(program, limits, spec: EngineSpec):
     """Serve one :func:`~repro.semantics.scheduler.explore` request."""
 
-    from ..semantics.scheduler import Explorer, Limits
+    from ..semantics.scheduler import Explorer, Limits, TracePayload
 
     limits = limits or Limits()
     cache, key, hit = _memo_lookup(spec, "explore", program, limits,
@@ -118,27 +131,9 @@ def dispatch_explore(program, limits, spec: EngineSpec):
     if hit is not None:
         return hit
 
-    if spec.kind == RANDOM_WALK:
-        from .random_walk import random_walk_explore
-
-        result = random_walk_explore(program, limits,
-                                     walks=spec.walks, seed=spec.seed,
-                                     reduce=spec.reduce,
-                                     ownership=spec.ownership,
-                                     semantics=spec.semantics)
-    elif spec.kind == PARALLEL:
-        from .parallel import ExploreProblem, run_parallel
-
-        result = run_parallel(ExploreProblem(program, limits,
-                                             reduce=spec.reduce,
-                                             ownership=spec.ownership,
-                                             semantics=spec.semantics),
-                              spec.effective_workers(), spec.spill_nodes)
-    else:
-        result = Explorer(program, limits, reduce=spec.reduce,
-                          ownership=spec.ownership,
-                          semantics=spec.semantics).run()
-
+    explorer = Explorer(program, limits, reduce=spec.reduce,
+                        semantics=spec.semantics)
+    result = _run(TracePayload(explorer), "ExploreProblem", spec)
     _memo_store(cache, key, result)
     return result
 
@@ -151,6 +146,7 @@ def dispatch_explore(program, limits, spec: EngineSpec):
 def dispatch_product_lin(program, ospec, limits, theta, spec: EngineSpec):
     """Serve one :func:`~repro.history.object_lin.check_program_linearizable`."""
 
+    from ..history.object_lin import ProductPayload
     from ..semantics.scheduler import Limits
 
     limits = limits or Limits()
@@ -161,62 +157,11 @@ def dispatch_product_lin(program, ospec, limits, theta, spec: EngineSpec):
     if hit is not None:
         return hit
 
-    if spec.kind == RANDOM_WALK:
-        from .random_walk import random_walk_lin
-
-        result = random_walk_lin(program, ospec, limits,
-                                 walks=spec.walks, seed=spec.seed,
-                                 theta=theta, reduce=spec.reduce,
-                                 ownership=spec.ownership,
-                                 semantics=spec.semantics)
-    elif spec.kind == PARALLEL:
-        from .parallel import ProductLinProblem, run_parallel
-
-        result = run_parallel(ProductLinProblem(program, ospec, limits,
-                                                theta=theta,
-                                                reduce=spec.reduce,
-                                                ownership=spec.ownership,
-                                                semantics=spec.semantics),
-                              spec.effective_workers(), spec.spill_nodes)
-    else:
-        result = _sequential_product_lin(program, ospec, limits, theta,
-                                         reduce=spec.reduce,
-                                         ownership=spec.ownership,
-                                         semantics=spec.semantics)
-
+    payload = ProductPayload(program, ospec, limits, theta,
+                             reduce=spec.reduce, semantics=spec.semantics)
+    result = _run(payload, "ProductLinProblem", spec)
     _memo_store(cache, key, result)
     return result
-
-
-def _sequential_product_lin(program, ospec, limits, theta, reduce=None,
-                            ownership="field", semantics=None):
-    """The exact sequential product search (memoized entry point)."""
-
-    from ..history.monitor import SpecMonitor
-    from ..history.object_lin import (
-        ObjectLinResult,
-        product_run_from,
-        product_start_nodes,
-    )
-    from ..semantics.scheduler import Explorer
-
-    monitor = SpecMonitor(ospec)
-    explorer = Explorer(program, reduce=reduce, ownership=ownership,
-                        semantics=semantics)
-    states0 = monitor.initial(theta)
-    out = ObjectLinResult(ok=True)
-    out.reduce = explorer.policy.effective
-    out.reduce_reasons = explorer.policy.reasons
-    out.semantics = explorer.semantics
-    out.semantics_reasons = explorer.semantics_reasons
-    distinct_histories = {()}
-    spilled = product_run_from(
-        explorer, monitor, limits, product_start_nodes(explorer, states0),
-        limits.max_nodes, out, distinct_histories)
-    if spilled:
-        out.bounded = True
-    out.histories_checked = len(distinct_histories)
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -247,7 +192,7 @@ def _instrumented_problem_key(runner) -> tuple:
 def dispatch_instrumented(runner, spec: EngineSpec):
     """Serve one :meth:`~repro.instrument.runner.InstrumentedRunner.run`."""
 
-    from ..instrument.runner import InstrumentedRunResult
+    from ..instrument.runner import InstrumentedPayload
 
     cache, key, hit = _memo_lookup(spec, "instrumented",
                                    _instrumented_problem_key(runner),
@@ -255,34 +200,6 @@ def dispatch_instrumented(runner, spec: EngineSpec):
     if hit is not None:
         return hit
 
-    if spec.kind == RANDOM_WALK:
-        from .random_walk import random_walk_instrumented
-
-        result = random_walk_instrumented(runner, walks=spec.walks,
-                                          seed=spec.seed)
-    elif spec.kind == PARALLEL:
-        from .parallel import InstrumentedProblem, run_parallel
-
-        probe = InstrumentedRunResult(engine="parallel")
-        start = runner.initial_config(probe)
-        if start is None:
-            probe.ok = False
-            result = probe
-        else:
-            result = run_parallel(InstrumentedProblem(runner, start),
-                                  spec.effective_workers(),
-                                  spec.spill_nodes)
-    else:
-        result = InstrumentedRunResult()
-        start = runner.initial_config(result)
-        if start is None:
-            result.ok = False
-        else:
-            spilled = runner.run_from([(start, (), 0)],
-                                      runner.limits.max_nodes, result)
-            if spilled:
-                result.bounded = True
-            result.ok = not result.failures
-
+    result = _run(InstrumentedPayload(runner), "InstrumentedProblem", spec)
     _memo_store(cache, key, result)
     return result

@@ -7,13 +7,13 @@ distributes them over a ``multiprocessing`` pool:
    producing a first spilled frontier;
 2. frontier nodes are batched into tasks on a shared pool queue; idle
    workers pull the next task — task-level work stealing;
-3. a worker explores its subtree with the *same* ``run_from`` loop the
+3. a worker explores its subtree with the *same* search loop the
    sequential engine uses; when it exceeds its per-task node budget it
    returns the unexplored remainder of its stack (a *spill*), which the
-   parent deduplicates against a shared seen-set of canonical state
-   digests (:mod:`repro.engine.canonical` — statement identity does not
-   survive pickling, so structural hashing is what makes cross-process
-   deduplication possible) and re-enqueues;
+   parent deduplicates against the canonical state digests of the nodes
+   already expanded (:mod:`repro.engine.canonical` — statement identity
+   does not survive pickling, so structural hashing is what makes
+   cross-process deduplication possible) and re-enqueues;
 4. partial results stream back and are merged monotonically; verdict
    problems (the Definition-2 product engine, the instrumented runner)
    short-circuit the whole pool on the first violation.
@@ -63,20 +63,22 @@ class ParallelDriver:
     """Generic frontier-partitioning driver over a *problem* object.
 
     A problem encapsulates one search (plain exploration, the product
-    engine, the instrumented runner) behind five hooks:
+    engine, the instrumented runner — see :class:`SearchProblem`) behind
+    these hooks:
 
-    * ``roots()`` — initial frontier nodes;
+    * ``new_accumulator()`` — the empty merged result;
+    * ``roots(acc)`` — initial frontier nodes (start-state failures are
+      recorded in ``acc``);
     * ``run_task(nodes, budget)`` — explore; return ``(partial, spill)``;
     * ``merge(acc, partial)`` — fold a partial result into the
-      accumulator;
-    * ``dedup_key(node)`` — canonical digest for the shared seen-set;
+      accumulator, recording its expansions in ``expanded_digests``;
+    * ``dedup_key(node)`` — canonical digest of a node's dedup key;
     * ``should_stop(acc)`` — verdict short-circuit;
     * ``node_count(acc)`` / ``max_nodes`` — global node-cap bookkeeping;
-    * ``mark_bounded(acc)`` — record that the cap cut the search.
-
-    A problem may also expose an optional ``finalize(acc)`` hook, which
-    :func:`run_parallel` invokes once after the driver returns (e.g. the
-    Sym(n) orbit closure of trace sets under thread-identity symmetry).
+    * ``mark_bounded(acc)`` — record that the cap cut the search;
+    * ``finalize(acc)`` — invoked by :func:`run_parallel` once after the
+      driver returns (e.g. the Sym(n) orbit closure of trace sets under
+      thread-identity symmetry).
     """
 
     def __init__(self, problem, workers: int, spill_nodes: int):
@@ -104,7 +106,7 @@ class ParallelDriver:
     def run(self):
         problem = self.problem
         acc = problem.new_accumulator()
-        frontier = problem.roots()
+        frontier = problem.roots(acc)
 
         if self.workers <= 1 or not fork_available():
             self._finish_sequentially(acc, frontier)
@@ -124,14 +126,10 @@ class ParallelDriver:
 
         # Re-spill filtering.  A task's spill includes nodes of its *own*
         # input batch it never got to expand (the budget ran out first),
-        # so filtering re-spills against "was this key ever submitted"
-        # silently dropped those nodes' entire subtrees.  Problems that
-        # track expansions (``expanded_digests``) filter against "was
-        # this node actually expanded" instead — a scheduled-but-spilled
-        # node comes back until some task expands it.  Problems without
-        # the tracking keep the legacy submitted-key filter.
-        expanded = getattr(problem, "expanded_digests", None)
-        seen = {problem.dedup_key(node) for node in spill}
+        # so a spilled node is dropped only once some task has actually
+        # *expanded* it — a scheduled-but-spilled node comes back until
+        # then.
+        expanded = problem.expanded_digests
         results: "queue.SimpleQueue" = queue.SimpleQueue()
         pending = 0
         capped = False
@@ -164,21 +162,13 @@ class ParallelDriver:
                 if problem.node_count(acc) >= problem.max_nodes:
                     capped = True
                     break
-                fresh = []
-                for node in spilled:
-                    key = problem.dedup_key(node)
-                    if expanded is not None:
-                        # Merge ran above, so the finished task's own
-                        # expansions are already in the set.  A node can
-                        # be resubmitted while still unexpanded (two
-                        # tasks spilled it concurrently) — duplicate
-                        # work the reexplored counter reports, never a
-                        # lost subtree.
-                        if key not in expanded:
-                            fresh.append(node)
-                    elif key not in seen:
-                        seen.add(key)
-                        fresh.append(node)
+                # Merge ran above, so the finished task's own expansions
+                # are already in the set.  A node can be resubmitted while
+                # still unexpanded (two tasks spilled it concurrently) —
+                # duplicate work the reexplored counter reports, never a
+                # lost subtree.
+                fresh = [node for node in spilled
+                         if problem.dedup_key(node) not in expanded]
                 for i in range(0, len(fresh), MAX_BATCH):
                     submit(fresh[i:i + MAX_BATCH])
         finally:
@@ -194,79 +184,54 @@ class ParallelDriver:
 # ---------------------------------------------------------------------------
 
 
-class ExploreProblem:
-    """Plain interleaving exploration (:class:`repro.semantics.scheduler.Explorer`)."""
+class SearchProblem:
+    """One payload's search (:class:`repro.semantics.scheduler.SearchPayload`)
+    as a driver problem: tasks run the shared search loop, and the parent
+    attributes each expansion once.
 
-    def __init__(self, program, limits, reduce=None, ownership="field",
-                 semantics=None):
-        from ..semantics.scheduler import Explorer
+    Per-task seen-sets cannot share interior states, so tasks re-expand
+    nodes other tasks already did.  Workers ship the structural digests
+    of their expansions' dedup keys (:mod:`repro.engine.canonical` —
+    statement identity does not survive pickling); the parent counts
+    each digest into ``nodes`` once and repeats into ``reexplored``, so
+    parallel and sequential node counts are comparable.  Subclasses add
+    the payload's own result fields to :meth:`merge`.
+    """
 
-        self.explorer = Explorer(program, limits, reduce=reduce,
-                                 ownership=ownership, semantics=semantics)
-        self.max_nodes = self.explorer.limits.max_nodes
-        # Canonical-digest view of terminal configs: Config equality is
-        # statement-identity-based and does not survive pickling, so the
-        # parent dedups terminals structurally to keep cardinalities
-        # equal to the sequential engine's.  (Under reduction, workers
-        # explore *canonical* representatives — the canonicalization walk
-        # is deterministic, so every worker picks the same one and the
-        # digests still line up with the sequential engine's.)
-        self._terminal_digests = set()
-        # Structural digests of every expanded node, across all tasks.
-        # Per-task seen-sets cannot share interior states, so tasks
-        # re-expand nodes other tasks already did; counting those into
-        # ``nodes`` made exhaustive parallel runs report more nodes than
-        # the sequential engine for the same state space.  The parent
-        # attributes each expansion once (``nodes``) and counts repeats
-        # separately (``reexplored``).
+    def __init__(self, payload):
+        self.payload = payload
+        self.max_nodes = payload.limits.max_nodes
+        #: Structural digests of every expanded node, across all tasks.
         self.expanded_digests = set()
 
     def new_accumulator(self):
-        from ..semantics.scheduler import ExplorationResult
+        return self.payload.new_result(engine="parallel")
 
-        acc = ExplorationResult(engine="parallel")
-        acc.reduce = self.explorer.policy.effective
-        acc.reduce_reasons = self.explorer.policy.reasons
-        acc.semantics = self.explorer.semantics
-        acc.semantics_reasons = self.explorer.semantics_reasons
-        acc.histories.add(())
-        acc.observables.add(())
-        return acc
-
-    def roots(self):
-        return self.explorer.start_nodes()
+    def roots(self, acc):
+        return self.payload.roots(acc)
 
     def run_task(self, nodes, budget):
-        from ..semantics.scheduler import ExplorationResult
+        from ..semantics.scheduler import search
 
-        from .canonical import canonical_digest
+        from .canonical import digest_each
 
-        partial = ExplorationResult()
+        partial = self.payload.new_result()
         partial.expanded_keys = []
-        spill = self.explorer.run_from(list(nodes), budget, partial)
+        spill = search(self.payload, list(nodes), budget, partial)
         # Digest in the worker (structural, so the keys survive pickling
         # and agree across workers); ship digests, not configurations.
-        partial.expanded_keys = [canonical_digest(k)
-                                 for k in partial.expanded_keys]
+        partial.expanded_keys = digest_each(partial.expanded_keys)
         return partial, spill
 
     def merge(self, acc, partial) -> None:
-        from .canonical import canonical_digest
-
-        acc.histories |= partial.histories
-        acc.observables |= partial.observables
-        acc.aborted = acc.aborted or partial.aborted
+        expanded = self.expanded_digests
+        for digest in partial.expanded_keys:
+            if digest in expanded:
+                acc.reexplored += 1
+            else:
+                expanded.add(digest)
+                acc.nodes += 1
         acc.bounded = acc.bounded or partial.bounded
-        if partial.expanded_keys is None:
-            acc.nodes += partial.nodes
-        else:
-            expanded = self.expanded_digests
-            for digest in partial.expanded_keys:
-                if digest in expanded:
-                    acc.reexplored += 1
-                else:
-                    expanded.add(digest)
-                    acc.nodes += 1
         acc.por_pruned += partial.por_pruned
         acc.sym_merged += partial.sym_merged
         acc.sleep_skipped += partial.sleep_skipped
@@ -279,20 +244,14 @@ class ExploreProblem:
                  if d not in acc.diagnostics]
         if fresh:
             acc.diagnostics = acc.diagnostics + tuple(fresh)
-        for config in partial.terminal_configs:
-            digest = canonical_digest(config)
-            if digest not in self._terminal_digests:
-                self._terminal_digests.add(digest)
-                acc.terminal_configs.add(config)
 
     def dedup_key(self, node) -> bytes:
         from .canonical import canonical_digest
 
-        config, hist, obs, _depth = node
-        return canonical_digest((config, hist, obs))
+        return canonical_digest(self.payload.key(node[0], node[1], node[2]))
 
     def should_stop(self, acc) -> bool:
-        return False
+        return self.payload.stop(acc)
 
     def node_count(self, acc) -> int:
         return acc.nodes
@@ -301,160 +260,63 @@ class ExploreProblem:
         acc.bounded = True
 
     def finalize(self, acc) -> None:
-        # Close the collected trace sets under Sym(n) when exploring in
-        # canonical thread-identity space (mirrors ``Explorer.run``).
-        self.explorer.close_result(acc)
+        self.payload.finish(acc)
 
 
-class ProductLinProblem:
-    """The Definition-2 product engine (configurations × monitor)."""
+class ExploreProblem(SearchProblem):
+    """Plain interleaving exploration (trace-set payload)."""
 
-    def __init__(self, program, spec, limits, theta=None, reduce=None,
-                 ownership="field", semantics=None):
-        from ..history.monitor import SpecMonitor
-        from ..semantics.scheduler import Explorer, Limits
+    def __init__(self, payload):
+        super().__init__(payload)
+        # Canonical-digest view of terminal configs: Config equality is
+        # statement-identity-based and does not survive pickling, so the
+        # parent dedups terminals structurally to keep cardinalities
+        # equal to the sequential engine's.  (Under reduction, workers
+        # explore *canonical* representatives — the canonicalization walk
+        # is deterministic, so every worker picks the same one and the
+        # digests still line up with the sequential engine's.)
+        self._terminal_digests = set()
 
-        self.limits = limits or Limits()
-        self.monitor = SpecMonitor(spec)
-        self.explorer = Explorer(program, reduce=reduce,
-                                 ownership=ownership, semantics=semantics)
-        self.states0 = self.monitor.initial(theta)
-        self.max_nodes = self.limits.max_nodes
-        self._distinct_histories = {()}
-        # Cross-task expansion dedup; see ExploreProblem.
-        self.expanded_digests = set()
-
-    def new_accumulator(self):
-        from ..history.object_lin import ObjectLinResult
-
-        acc = ObjectLinResult(ok=True, engine="parallel")
-        acc.reduce = self.explorer.policy.effective
-        acc.reduce_reasons = self.explorer.policy.reasons
-        acc.semantics = self.explorer.semantics
-        acc.semantics_reasons = self.explorer.semantics_reasons
-        return acc
-
-    def roots(self):
-        from ..history.object_lin import product_start_nodes
-
-        return product_start_nodes(self.explorer, self.states0)
-
-    def run_task(self, nodes, budget):
-        from ..history.object_lin import ObjectLinResult, product_run_from
-
+    def merge(self, acc, partial) -> None:
         from .canonical import canonical_digest
 
-        partial = ObjectLinResult(ok=True)
-        partial.expanded_keys = []
-        distinct = set()
-        spill = product_run_from(self.explorer, self.monitor, self.limits,
-                                 list(nodes), budget, partial, distinct)
-        partial.expanded_keys = [canonical_digest(k)
-                                 for k in partial.expanded_keys]
-        return (partial, distinct), spill
-
-    def merge(self, acc, partial_and_histories) -> None:
-        partial, distinct = partial_and_histories
-        self._distinct_histories |= distinct
-        if partial.expanded_keys is None:
-            acc.nodes_explored += partial.nodes_explored
-        else:
-            expanded = self.expanded_digests
-            for digest in partial.expanded_keys:
-                if digest in expanded:
-                    acc.reexplored += 1
-                else:
-                    expanded.add(digest)
-                    acc.nodes_explored += 1
-        acc.bounded = acc.bounded or partial.bounded
+        super().merge(acc, partial)
+        acc.histories |= partial.histories
+        acc.observables |= partial.observables
         acc.aborted = acc.aborted or partial.aborted
-        acc.por_pruned += partial.por_pruned
-        acc.sym_merged += partial.sym_merged
-        acc.sleep_skipped += partial.sleep_skipped
-        acc.tsym_merged += partial.tsym_merged
-        acc.reexplored += partial.reexplored
-        acc.dedup_hits += partial.dedup_hits
-        acc.dedup_lookups += partial.dedup_lookups
-        acc.elapsed += partial.elapsed
-        fresh = [d for d in partial.diagnostics
-                 if d not in acc.diagnostics]
-        if fresh:
-            acc.diagnostics = acc.diagnostics + tuple(fresh)
+        for config in partial.terminal_configs:
+            digest = canonical_digest(config)
+            if digest not in self._terminal_digests:
+                self._terminal_digests.add(digest)
+                acc.terminal_configs.add(config)
+
+
+class ProductLinProblem(SearchProblem):
+    """The Definition-2 product engine (configurations × monitor)."""
+
+    def merge(self, acc, partial) -> None:
+        super().merge(acc, partial)
+        acc.histories |= partial.histories
+        acc.aborted = acc.aborted or partial.aborted
         if not partial.ok and acc.ok:
             acc.ok = False
             acc.counterexample = partial.counterexample
             acc.reason = partial.reason
-        acc.histories_checked = len(self._distinct_histories)
-
-    def dedup_key(self, node) -> bytes:
-        from .canonical import canonical_digest
-
-        config, states, _hist, _depth = node
-        return canonical_digest((config, states))
-
-    def should_stop(self, acc) -> bool:
-        return not acc.ok
-
-    def node_count(self, acc) -> int:
-        return acc.nodes_explored
-
-    def mark_bounded(self, acc) -> None:
-        acc.bounded = True
 
 
-class InstrumentedProblem:
+class InstrumentedProblem(SearchProblem):
     """The instrumented-obligation runner (Fig. 11 obligations)."""
 
-    def __init__(self, runner, start):
-        self.runner = runner
-        self.start = start
-        self.max_nodes = runner.limits.max_nodes
-
-    def new_accumulator(self):
-        from ..instrument.runner import InstrumentedRunResult
-
-        acc = InstrumentedRunResult(engine="parallel")
-        acc.histories.add(())
-        return acc
-
-    def roots(self):
-        return [(self.start, (), 0)]
-
-    def run_task(self, nodes, budget):
-        from ..instrument.runner import InstrumentedRunResult
-
-        partial = InstrumentedRunResult()
-        spill = self.runner.run_from(list(nodes), budget, partial)
-        return partial, spill
-
     def merge(self, acc, partial) -> None:
+        super().merge(acc, partial)
         acc.failures.extend(partial.failures)
-        acc.nodes += partial.nodes
-        acc.bounded = acc.bounded or partial.bounded
         acc.histories |= partial.histories
         acc.ok = not acc.failures
-
-    def dedup_key(self, node) -> bytes:
-        from .canonical import canonical_digest
-
-        config, hist, _depth = node
-        return canonical_digest(self.runner.node_key(config, hist))
-
-    def should_stop(self, acc) -> bool:
-        return len(acc.failures) >= self.runner.max_failures
-
-    def node_count(self, acc) -> int:
-        return acc.nodes
-
-    def mark_bounded(self, acc) -> None:
-        acc.bounded = True
 
 
 def run_parallel(problem, workers: int, spill_nodes: int):
     """Run ``problem`` under the driver; returns the merged accumulator."""
 
     acc = ParallelDriver(problem, workers, spill_nodes).run()
-    finalize = getattr(problem, "finalize", None)
-    if finalize is not None:
-        finalize(acc)
+    problem.finalize(acc)
     return acc

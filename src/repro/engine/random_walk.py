@@ -22,184 +22,63 @@ reproduce the same result exactly.
 from __future__ import annotations
 
 import random
-from typing import Optional
+from time import perf_counter
 
-from ..semantics.scheduler import (
-    ExplorationResult,
-    Explorer,
-    Limits,
-    Program,
-)
+from ..semantics.scheduler import STOP, SearchPayload, account, snapshot
 
 
-def random_walk_explore(program: Program, limits: Optional[Limits] = None,
-                        walks: int = 256, seed: int = 0,
-                        reduce: Optional[str] = None,
-                        ownership: str = "field",
-                        semantics: Optional[str] = None
-                        ) -> ExplorationResult:
-    """Sample ``walks`` executions; returns a partial exploration result.
+def random_walk(payload: SearchPayload, walks: int = 256, seed: int = 0):
+    """Sample ``walks`` executions of ``payload``'s search graph.
 
-    Walks sample paths of the (possibly reduced) exploration graph; the
-    reduced graph's paths reach exactly the same history/observable sets,
-    so the under-approximation guarantee is unchanged.
+    Returns the payload's result, marked ``exhaustive=False``.  Walks
+    follow the same payload hooks as the exhaustive search — the depth
+    cut, the per-event update and the stop condition — but keep no
+    seen-set.  Walks over a reduced graph reach only histories and
+    observables the unreduced graph reaches, so the under-approximation
+    guarantee is unchanged.
     """
 
-    explorer = Explorer(program, limits, reduce=reduce,
-                        ownership=ownership, semantics=semantics)
-    limits = explorer.limits
     rng = random.Random(seed)
-    result = ExplorationResult(engine="random-walk", exhaustive=False)
-    result.reduce = explorer.policy.effective
-    result.reduce_reasons = explorer.policy.reasons
-    result.semantics = explorer.semantics
-    result.semantics_reasons = explorer.semantics_reasons
-    result.histories.add(())
-    result.observables.add(())
-    starts = explorer.start_nodes()
-    if not starts:
-        return result
-
-    for _ in range(walks):
-        config, hist, obs, depth = starts[rng.randrange(len(starts))]
-        while True:
-            result.nodes += 1
-            successors = explorer._expand(config)
-            if not successors:
-                result.add_prefixes(obs)
-                result.terminal_configs.add(config)
+    result = payload.new_result(engine="random-walk", exhaustive=False)
+    starts = payload.roots(result)
+    before = snapshot(payload.core)
+    started = perf_counter()
+    try:
+        for _ in range(walks if starts else 0):
+            if _walk(payload, starts[rng.randrange(len(starts))], rng,
+                     result):
                 break
-            if depth >= limits.max_depth:
-                result.bounded = True
-                result.add_prefixes(obs)
-                break
-            next_config, event = successors[rng.randrange(len(successors))]
-            if event is not None:
-                if event.is_object_event:
-                    hist = hist + (event,)
-                    result.histories.add(hist)
-                if event.is_observable:
-                    obs = obs + (event,)
-                    result.add_prefixes(obs)
-            if next_config is None:
-                result.aborted = True
-                break
-            config = next_config
-            depth += 1
-    if explorer.diagnostics:
-        result.bounded = True
-        result.diagnostics = tuple(explorer.diagnostics)
+    finally:
+        account(payload.core, before, started, result)
+    payload.finish(result)
     return result
 
 
-def random_walk_lin(program: Program, spec, limits: Optional[Limits] = None,
-                    walks: int = 256, seed: int = 0, theta=None,
-                    reduce: Optional[str] = None, ownership: str = "field",
-                    semantics: Optional[str] = None):
-    """Sampled Definition-2 check: walk the product graph, monitor Δ.
+def _walk(payload: SearchPayload, node: tuple, rng: random.Random,
+          result) -> bool:
+    """One walk from ``node``; True when the payload stopped the search."""
 
-    A violation found is real; ``ok=True`` only means no violation was
-    found on the sampled paths (``exhaustive=False``).
-    """
-
-    from ..history.monitor import SpecMonitor
-    from ..history.object_lin import ObjectLinResult
-
-    explorer = Explorer(program, reduce=reduce, ownership=ownership,
-                        semantics=semantics)
-    limits = limits or Limits()
-    monitor = SpecMonitor(spec)
-    rng = random.Random(seed)
-    out = ObjectLinResult(ok=True, engine="random-walk", exhaustive=False)
-    out.reduce = explorer.policy.effective
-    out.reduce_reasons = explorer.policy.reasons
-    out.semantics = explorer.semantics
-    out.semantics_reasons = explorer.semantics_reasons
-    distinct = {()}
-    starts = explorer.initial_nodes()
-    if not starts:
-        out.histories_checked = len(distinct)
-        return out
-    states0 = monitor.initial(theta)
-
-    for _ in range(walks):
-        config = starts[rng.randrange(len(starts))]
-        states = states0
-        hist = ()
-        depth = 0
-        while True:
-            out.nodes_explored += 1
-            successors = explorer._expand(config)
-            if not successors:
-                break
-            if depth >= limits.max_depth:
-                out.bounded = True
-                break
-            next_config, event = successors[rng.randrange(len(successors))]
-            if event is not None and event.is_object_event:
-                states = monitor.step(states, event)
-                hist = hist + (event,)
-                distinct.add(hist)
-                if not states:
-                    out.ok = False
-                    out.counterexample = hist
-                    out.reason = "history has no legal linearization"
-                    out.histories_checked = len(distinct)
-                    return out
-            if next_config is None:
-                out.aborted = True
-                if event is not None and event.is_object_event:
-                    out.ok = False
-                    out.counterexample = hist
-                    out.reason = "object code aborted"
-                    out.histories_checked = len(distinct)
-                    return out
-                break
-            config = next_config
-            depth += 1
-    out.histories_checked = len(distinct)
-    if explorer.diagnostics:
-        out.bounded = True
-        out.diagnostics = tuple(explorer.diagnostics)
-    return out
-
-
-def random_walk_instrumented(runner, walks: int = 256, seed: int = 0):
-    """Sampled instrumented-obligation check over one runner workload."""
-
-    from ..instrument.runner import InstrumentedRunResult
-
-    rng = random.Random(seed)
-    result = InstrumentedRunResult(engine="random-walk", exhaustive=False)
-    start = runner.initial_config(result)
-    if start is None:
-        result.ok = False
-        return result
-    limits = runner.limits
-
-    for _ in range(walks):
-        config, hist, depth = start, (), 0
-        while True:
-            result.nodes += 1
-            if depth >= limits.max_depth:
-                result.bounded = True
-                break
-            before = len(result.failures)
-            successors = runner._expand(config, hist, result)
-            if len(result.failures) > before and \
-                    len(result.failures) >= runner.max_failures:
-                result.ok = False
-                return result
-            live = []
-            for nxt, event in successors:
-                new_hist = hist + (event,) if event is not None else hist
-                if event is not None:
-                    result.histories.add(new_hist)
-                if nxt is not None:
-                    live.append((nxt, new_hist))
-            if not live:
-                break
-            config, hist = live[rng.randrange(len(live))]
-            depth += 1
-    result.ok = not result.failures
-    return result
+    config, a, b, depth = node
+    max_depth = payload.limits.max_depth
+    while True:
+        result.nodes += 1
+        if payload.cut_before_expand and depth >= max_depth:
+            payload.close(config, a, b, result, True)
+            return False
+        successors = payload.expand(config, a, b, result)
+        if payload.stop(result):
+            return True
+        if not successors:
+            payload.close(config, a, b, result, False)
+            return False
+        if depth >= max_depth:
+            payload.close(config, a, b, result, True)
+            return False
+        next_config, event = successors[rng.randrange(len(successors))]
+        child = payload.step(a, b, event, next_config, result)
+        if child is STOP:
+            return True
+        if child is None:
+            return False
+        (a, b), config = child, next_config
+        depth += 1

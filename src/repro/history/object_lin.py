@@ -30,11 +30,17 @@ from ..lang.program import ObjectImpl, Program
 from ..memory.store import Store
 from ..semantics.events import Trace, format_trace
 from ..semantics.mgc import CallMenu, mgc_program
-from ..semantics.scheduler import Config, Explorer, Limits, explore, initial_config
+from ..semantics.scheduler import (
+    STOP,
+    Explorer,
+    Limits,
+    SearchPayload,
+    explore,
+)
 from ..spec.gamma import OSpec
 from ..spec.refmap import RefMap
 from .linearize import find_linearization
-from .monitor import SpecMonitor, StateSet
+from .monitor import SpecMonitor
 
 
 @dataclass
@@ -73,11 +79,24 @@ class ObjectLinResult:
     dedup_hits: int = 0
     dedup_lookups: int = 0
     elapsed: float = 0.0
-    #: When bound to a list before ``product_run_from``, every expansion
-    #: appends its dedup key ``(config, states)``; the parallel driver
-    #: digests these structurally for cross-task expansion dedup
-    #: (``None`` disables collection).
+    #: When bound to a list before a search, every expansion appends its
+    #: dedup key ``(config, states)``; the parallel driver digests these
+    #: structurally for cross-task expansion dedup (``None`` disables
+    #: collection).
     expanded_keys: Optional[List] = None
+    #: The distinct histories seen while the search runs; counted into
+    #: ``histories_checked`` and released when the search finishes.
+    histories: Optional[Set[Trace]] = None
+
+    @property
+    def nodes(self) -> int:
+        """``nodes_explored`` under the name every search result uses."""
+
+        return self.nodes_explored
+
+    @nodes.setter
+    def nodes(self, value: int) -> None:
+        self.nodes_explored = value
 
     @property
     def nodes_per_sec(self) -> float:
@@ -108,179 +127,73 @@ class ObjectLinResult:
         return msg
 
 
-#: A product-engine search node: (configuration, monitor state set,
-#: history for counterexample reporting, depth).  The dedup key is the
-#: first two components; the history is *not* part of it.  As in
-#: :mod:`repro.semantics.scheduler`, the internal stack may carry a
-#: fifth component (the sleep set) which never escapes in a spilled
-#: frontier.
-ProductNode = Tuple[Config, StateSet, Trace, int]
+class ProductPayload(SearchPayload):
+    """Definition 2: configurations × the speculation monitor.
 
-_NO_SLEEP: frozenset = frozenset()
-
-
-def product_start_nodes(explorer: Explorer,
-                        states0: StateSet) -> List[ProductNode]:
-    """Deduplicated initial nodes of the product exploration."""
-
-    from ..reduce import canonicalize_config
-
-    seen: Set[Tuple[Config, StateSet]] = set()
-    nodes: List[ProductNode] = []
-    for start in explorer.initial_nodes():
-        if explorer.policy.sym:
-            start, _changed = canonicalize_config(start, Store)
-        if explorer.interner is not None:
-            start = explorer.interner.config(start)
-        if (start, states0) not in seen:
-            seen.add((start, states0))
-            nodes.append((start, states0, (), 0))
-    return nodes
-
-
-def product_run_from(explorer: Explorer, monitor: SpecMonitor,
-                     limits: Limits, frontier: List[ProductNode],
-                     node_budget: int, out: ObjectLinResult,
-                     distinct_histories: Set[Trace]) -> List[ProductNode]:
-    """Expand up to ``node_budget`` product nodes from ``frontier``.
-
-    Mutates ``out`` (and ``distinct_histories``) in place; returns the
-    spilled frontier when the budget runs out, or ``[]`` when the subtree
-    is exhausted *or* a violation was found (``out.ok`` turns False).
-    This is the unit of work the parallel engine distributes.
-
-    Accounting is exact: a node is charged only when actually expanded,
-    so spilled frontier nodes are not double-counted across resume
-    cycles (``out.nodes_explored`` equals the expansions performed).
+    A node carries the monitor's state set Σ and the history; dedup is on
+    ``(configuration, Σ)``, which collapses the exponentially many
+    interleaving paths that reach the same state.  The history is kept
+    for the counterexample only.  The search stops at the first history
+    without a legal linearization, or the first object-code abort.
     """
 
-    from time import perf_counter
+    def __init__(self, program: Program, spec: OSpec,
+                 limits: Optional[Limits] = None, theta=None,
+                 reduce: Optional[str] = None,
+                 semantics: Optional[str] = None):
+        self.core = Explorer(program, reduce=reduce, semantics=semantics)
+        self.limits = limits or Limits()
+        self.monitor = SpecMonitor(spec)
+        self.states0 = self.monitor.initial(theta)
 
-    sleep_on = explorer._sleep
-    tsym = explorer._tsym
-    # Under sleep sets the map remembers the smallest sleep set each
-    # product node was pushed with (see Explorer.run_from).
-    seen: dict = {}
-    for node in frontier:
-        seen[(node[0], node[1])] = (
-            node[4] if len(node) > 4 else _NO_SLEEP)
-    stack: List[tuple] = list(frontier)
-    expanded_here = 0
-    pruned0, merged0 = explorer.por_pruned, explorer.sym_merged
-    slept0, tmerged0 = explorer.sleep_skipped, explorer.tsym_merged
-    diag0 = len(explorer.diagnostics)
-    started = perf_counter()
+    def new_result(self, **kwargs) -> ObjectLinResult:
+        out = ObjectLinResult(ok=True, **kwargs)
+        self.core.stamp(out)
+        out.histories = {()}
+        return out
 
-    try:
-        while stack:
-            if expanded_here >= node_budget:
-                return [n[:4] if len(n) > 4 else n for n in stack]
-            node = stack.pop()
-            config, states, hist, depth = (node[0], node[1], node[2],
-                                           node[3])
-            sleep = node[4] if len(node) > 4 else _NO_SLEEP
-            expanded_here += 1
-            out.nodes_explored += 1
-            if out.expanded_keys is not None:
-                out.expanded_keys.append((config, states))
-            if depth >= limits.max_depth:
-                out.bounded = True
-                continue
-            tsym_k = None
-            if tsym is not None:
-                # The product search tracks histories only; threads that
-                # have emitted no object event are interchangeable for
-                # the monitor (it never sees client-side output events),
-                # so hist-only pinning keeps the verdict exact.
-                pinned = {e.thread for e in hist}
-                k = len(pinned)
-                if not pinned or max(pinned) == k:
-                    tsym_k = k
-            sym_snap = explorer.sym_merged
-            tsym_snap = explorer.tsym_merged
-            successors = explorer._expand(config, sleep=sleep,
-                                          tsym_k=tsym_k)
-            succ_sleeps = explorer._succ_sleeps
-            reduced = explorer.last_expand_reduced
-            if not successors and explorer._last_slept:
-                # Every runnable thread was asleep: re-expand ignoring
-                # sleep (see Explorer.run_from).
-                explorer.sleep_skipped -= explorer._last_slept
-                explorer.sym_merged = sym_snap
-                explorer.tsym_merged = tsym_snap
-                successors = explorer._expand(config, tsym_k=tsym_k)
-                succ_sleeps = explorer._succ_sleeps
-                reduced = explorer.last_expand_reduced
-            while True:
-                fresh = 0
-                for sidx, (next_config, event) in enumerate(successors):
-                    new_states = states
-                    new_hist = hist
-                    if event is not None and event.is_object_event:
-                        new_states = monitor.step(states, event)
-                        new_hist = hist + (event,)
-                        distinct_histories.add(new_hist)
-                        if not new_states:
-                            out.ok = False
-                            out.counterexample = new_hist
-                            out.reason = "history has no legal linearization"
-                            return []
-                    if next_config is None:
-                        out.aborted = True
-                        if event is not None and event.is_object_event:
-                            out.ok = False
-                            out.counterexample = new_hist
-                            out.reason = "object code aborted"
-                            return []
-                        continue
-                    key = (next_config, new_states)
-                    ns = (succ_sleeps[sidx]
-                          if succ_sleeps is not None else _NO_SLEEP)
-                    out.dedup_lookups += 1
-                    stored = seen.get(key)
-                    if stored is not None:
-                        if stored <= ns:
-                            out.dedup_hits += 1
-                            continue
-                        ns = stored & ns
-                    seen[key] = ns
-                    stack.append(
-                        (next_config, new_states, new_hist, depth + 1, ns)
-                        if sleep_on else
-                        (next_config, new_states, new_hist, depth + 1))
-                    fresh += 1
-                if fresh == 0 and (reduced or explorer._last_slept):
-                    # Cycle proviso (see Explorer.run_from): a reduced
-                    # (or partially slept) expansion whose successors all
-                    # dedup away must be redone in full, or the pruned
-                    # threads' futures could be lost around a cycle of
-                    # invisible steps.  Roll this node's accounting back
-                    # first so the re-expansion is charged exactly once.
-                    explorer.por_pruned -= explorer._last_pruned
-                    explorer.sleep_skipped -= explorer._last_slept
-                    explorer.sym_merged = sym_snap
-                    explorer.tsym_merged = tsym_snap
-                    successors = explorer._expand(config, full=True,
-                                                  tsym_k=tsym_k)
-                    succ_sleeps = explorer._succ_sleeps
-                    reduced = False
-                    continue
-                break
-        return []
-    finally:
-        out.elapsed += perf_counter() - started
-        out.por_pruned += explorer.por_pruned - pruned0
-        out.sym_merged += explorer.sym_merged - merged0
-        out.sleep_skipped += explorer.sleep_skipped - slept0
-        out.tsym_merged += explorer.tsym_merged - tmerged0
-        if len(explorer.diagnostics) > diag0:
-            # A transition was cut (e.g. atomic-loop fuel): the search
-            # is bounded, and the cut is surfaced on the verdict.
-            out.bounded = True
-            fresh = [d for d in explorer.diagnostics[diag0:]
-                     if d not in out.diagnostics]
-            if fresh:
-                out.diagnostics = out.diagnostics + tuple(fresh)
+    def roots(self, result) -> List[tuple]:
+        return [(node[0], self.states0, (), 0)
+                for node in self.core.start_nodes()]
+
+    def key(self, config, states, hist):
+        return (config, states)
+
+    def pinned(self, states, hist) -> Set[int]:
+        # The monitor never sees client-side output events, so threads
+        # that have emitted no object event are interchangeable for it:
+        # history-only pinning keeps the verdict exact.
+        return {e.thread for e in hist}
+
+    def step(self, states, hist, event, next_config, result):
+        visible = event is not None and event.is_object_event
+        if visible:
+            states = self.monitor.step(states, event)
+            hist = hist + (event,)
+            result.histories.add(hist)
+            if not states:
+                return _violation(result, hist,
+                                  "history has no legal linearization")
+        if next_config is None:
+            result.aborted = True
+            if visible:
+                return _violation(result, hist, "object code aborted")
+            return None
+        return states, hist
+
+    def stop(self, result) -> bool:
+        return not result.ok
+
+    def finish(self, result) -> None:
+        result.histories_checked = len(result.histories)
+        result.histories = None
+
+
+def _violation(out: ObjectLinResult, hist: Trace, reason: str):
+    out.ok = False
+    out.counterexample = hist
+    out.reason = reason
+    return STOP
 
 
 def check_program_linearizable(program: Program, spec: OSpec,
@@ -294,34 +207,10 @@ def check_program_linearizable(program: Program, spec: OSpec,
     """
 
     from ..engine.api import resolve_engine
+    from ..engine.dispatch import dispatch_product_lin
 
-    spec_engine = resolve_engine(engine)
-    if not spec_engine.sequential or spec_engine.memo:
-        from ..engine.dispatch import dispatch_product_lin
-
-        return dispatch_product_lin(program, spec, limits, theta,
-                                    spec_engine)
-
-    limits = limits or Limits()
-    monitor = SpecMonitor(spec)
-    explorer = Explorer(program, reduce=spec_engine.reduce,
-                        ownership=spec_engine.ownership,
-                        semantics=spec_engine.semantics)
-    states0 = monitor.initial(theta)
-    out = ObjectLinResult(ok=True)
-    out.reduce = explorer.policy.effective
-    out.reduce_reasons = explorer.policy.reasons
-    out.semantics = explorer.semantics
-    out.semantics_reasons = explorer.semantics_reasons
-    distinct_histories: Set[Trace] = {()}
-
-    spilled = product_run_from(
-        explorer, monitor, limits, product_start_nodes(explorer, states0),
-        limits.max_nodes, out, distinct_histories)
-    if spilled:
-        out.bounded = True
-    out.histories_checked = len(distinct_histories)
-    return out
+    return dispatch_product_lin(program, spec, limits, theta,
+                                resolve_engine(engine))
 
 
 def check_program_linearizable_definitional(
@@ -374,11 +263,14 @@ def maximal_histories(histories) -> Tuple[Trace, ...]:
     """Histories that are not a strict prefix of another in the set.
 
     Assumes the input set is prefix-closed (as produced by the explorer).
+    Longest first; ties are broken by the events' printed fields, never
+    by hashes, so the order (and with it the definitional check's
+    counterexample) does not depend on the interpreter's hash seed.
     """
 
     non_maximal = {h[:-1] for h in histories if h}
     return tuple(sorted((h for h in histories if h not in non_maximal),
-                        key=len, reverse=True))
+                        key=lambda h: (-len(h), tuple(map(repr, h)))))
 
 
 def check_object_linearizable(impl: ObjectImpl, spec: OSpec, menu: CallMenu,

@@ -38,7 +38,7 @@ from ..memory.store import Store
 from ..semantics.eval import EvalError, eval_bool_in, eval_in
 from ..semantics.events import InvokeEvent, ReturnEvent, Trace
 from ..semantics.mgc import CallMenu
-from ..semantics.scheduler import Limits
+from ..semantics.scheduler import Limits, SearchCore, SearchPayload
 from ..semantics.thread import (
     Env,
     Fault,
@@ -165,6 +165,21 @@ class InstrumentedRunResult:
     engine: str = "sequential"
     exhaustive: bool = True
     from_cache: bool = False
+    #: Search counters, as on
+    #: :class:`repro.semantics.scheduler.ExplorationResult`.  The
+    #: instrumented run has no reductions yet, so the reduction counters
+    #: stay zero; ``reexplored`` counts the parallel driver's repeated
+    #: expansions.
+    diagnostics: Tuple[str, ...] = ()
+    por_pruned: int = 0
+    sym_merged: int = 0
+    sleep_skipped: int = 0
+    tsym_merged: int = 0
+    reexplored: int = 0
+    dedup_hits: int = 0
+    dedup_lookups: int = 0
+    elapsed: float = 0.0
+    expanded_keys: Optional[List] = None
 
     def summary(self) -> str:
         if self.exhaustive:
@@ -265,74 +280,11 @@ class InstrumentedRunner:
             return None
         return start
 
-    def node_key(self, config: IConfig, hist: Trace):
-        """The search-node dedup key (config, plus the history when the
-        complete prefix-closed history set is requested)."""
-
-        return (config, hist) if self.history_complete else config
-
     def run(self) -> InstrumentedRunResult:
         from ..engine.api import resolve_engine
+        from ..engine.dispatch import dispatch_instrumented
 
-        engine_spec = resolve_engine(self.engine)
-        if not engine_spec.sequential or engine_spec.memo:
-            from ..engine.dispatch import dispatch_instrumented
-
-            return dispatch_instrumented(self, engine_spec)
-
-        result = InstrumentedRunResult()
-        start = self.initial_config(result)
-        if start is None:
-            result.ok = False
-            return result
-        spilled = self.run_from([(start, (), 0)], self.limits.max_nodes,
-                                result)
-        if spilled:
-            result.bounded = True
-        result.ok = not result.failures
-        return result
-
-    def run_from(self, frontier: List[Tuple[IConfig, Trace, int]],
-                 node_budget: int, result: InstrumentedRunResult
-                 ) -> List[Tuple[IConfig, Trace, int]]:
-        """Expand up to ``node_budget`` nodes from ``frontier``.
-
-        Mutates ``result`` in place; returns the spilled frontier when
-        the budget runs out, ``[]`` when the subtree is exhausted or
-        ``max_failures`` failures were collected.  The parallel engine
-        distributes these calls across worker processes.
-        """
-
-        key = self.node_key
-        seen = {key(c, h) for c, h, _ in frontier}
-        stack: List[Tuple[IConfig, Trace, int]] = list(frontier)
-        # Exact accounting: charge a node only when actually expanded, so
-        # a spilled node is not double-counted when a later call resumes
-        # from it.
-        expanded_here = 0
-        while stack:
-            if expanded_here >= node_budget:
-                return stack
-            config, hist, depth = stack.pop()
-            expanded_here += 1
-            result.nodes += 1
-            if depth >= self.limits.max_depth:
-                result.bounded = True
-                continue
-            for nxt, event in self._expand(config, hist, result):
-                new_hist = hist + (event,) if event is not None else hist
-                if event is not None:
-                    result.histories.add(new_hist)
-                if nxt is None:
-                    continue
-                k = key(nxt, new_hist)
-                if k in seen:
-                    continue
-                seen.add(k)
-                stack.append((nxt, new_hist, depth + 1))
-            if len(result.failures) >= self.max_failures:
-                return []
-        return []
+        return dispatch_instrumented(self, resolve_engine(self.engine))
 
     def _expand(self, config: IConfig, hist: Trace,
                 result: InstrumentedRunResult):
@@ -484,6 +436,50 @@ class InstrumentedRunner:
         cfg = self._replace(config, idx, tstate, ops_left,
                             config.sigma_o, config.delta)
         return self._step(cfg, idx, tid, ops_left, hist, result)
+
+
+class InstrumentedPayload(SearchPayload):
+    """Fig. 11: a node is an :class:`IConfig` (carrying Δ) plus its
+    history.  Successors come from :meth:`InstrumentedRunner._expand`,
+    which checks the obligations on every step, with no reductions; the
+    search stops once ``max_failures`` failures are recorded."""
+
+    def __init__(self, runner: InstrumentedRunner):
+        self.runner = runner
+        self.core = SearchCore()
+        self.limits = runner.limits
+
+    def new_result(self, **kwargs) -> InstrumentedRunResult:
+        result = InstrumentedRunResult(**kwargs)
+        result.histories.add(())
+        return result
+
+    def roots(self, result) -> List[tuple]:
+        start = self.runner.initial_config(result)
+        return [] if start is None else [(start, (), None, 0)]
+
+    def key(self, config, hist, _unused):
+        # With ``history_complete`` the history joins the key, so the
+        # result's history set is the complete prefix-closed one.
+        return (config, hist) if self.runner.history_complete else config
+
+    def expand(self, config, hist, _unused, result, full=False,
+               sleep=frozenset(), tsym_k=None):
+        return self.runner._expand(config, hist, result)
+
+    def step(self, hist, _unused, event, next_config, result):
+        if event is not None:
+            hist = hist + (event,)
+            result.histories.add(hist)
+        if next_config is None:
+            return None
+        return hist, None
+
+    def stop(self, result) -> bool:
+        return len(result.failures) >= self.runner.max_failures
+
+    def finish(self, result) -> None:
+        result.ok = not result.failures
 
 
 def verify_instrumented(iobj: InstrumentedObject, menu: CallMenu,

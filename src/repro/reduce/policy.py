@@ -15,21 +15,6 @@ REDUCE_POR_SYM_TSYM = "por+sym+tsym"
 REDUCE_MODES = (REDUCE_NONE, REDUCE_POR, REDUCE_POR_SYM,
                 REDUCE_POR_SYM_TSYM)
 
-#: Ownership granularities: ``field`` refines the eligibility verdict
-#: with the field-sensitive escape analysis; ``coarse`` is the plain
-#: syntactic scan, kept for the E13 ablation.
-OWNERSHIP_FIELD = "field"
-OWNERSHIP_COARSE = "coarse"
-OWNERSHIP_MODES = (OWNERSHIP_FIELD, OWNERSHIP_COARSE)
-
-
-def validate_ownership(mode: str) -> str:
-    if mode not in OWNERSHIP_MODES:
-        raise ValueError(
-            f"unknown ownership mode {mode!r}; expected one of "
-            f"{', '.join(OWNERSHIP_MODES)}")
-    return mode
-
 #: Default for sequential and parallel engines: everything on.  The
 #: eligibility scan silently drops whatever a given program cannot
 #: support, so the default is always safe.
@@ -64,7 +49,6 @@ class ReductionPolicy:
     value_consts: FrozenSet[int] = frozenset()
     alloc: Optional[Tuple[int, int]] = None
     quarantine: bool = False
-    ownership: str = OWNERSHIP_FIELD
     reasons: Tuple[str, ...] = ()
 
     @property
@@ -92,19 +76,16 @@ class ReductionPolicy:
 INERT_POLICY = ReductionPolicy(mode=REDUCE_NONE)
 
 
-def resolve_policy(program, mode: Optional[str],
-                   ownership: str = OWNERSHIP_FIELD) -> ReductionPolicy:
+def resolve_policy(program, mode: Optional[str]) -> ReductionPolicy:
     """Resolve a requested mode against ``program``'s eligibility."""
 
     if mode is None:
         mode = DEFAULT_REDUCE
     validate_reduce(mode)
-    validate_ownership(ownership)
     if mode == REDUCE_NONE:
         return INERT_POLICY
 
-    elig = scan_program(program,
-                        field_sensitive=ownership == OWNERSHIP_FIELD)
+    elig = scan_program(program)
     por = elig.por
     want_sym = mode in (REDUCE_POR_SYM, REDUCE_POR_SYM_TSYM)
     sym = want_sym and elig.sym
@@ -127,6 +108,5 @@ def resolve_policy(program, mode: Optional[str],
         value_consts=elig.value_consts,
         alloc=(SYM_BASE, SYM_STRIDE) if sym else None,
         quarantine=sym and elig.has_dispose,
-        ownership=ownership,
         reasons=tuple(sorted(set(reasons))),
     )

@@ -139,8 +139,9 @@ class ExplorationResult:
     exhaustive: bool = True
     #: True when the result was served from the persistent memo cache.
     from_cache: bool = False
-    #: The reduction mode actually in force ("none" / "por" / "por+sym"
-    #: after eligibility filtering — see :mod:`repro.reduce`).
+    #: The reduction mode actually in force ("none" / "por" / "por+sym" /
+    #: "por+sym+tsym" after eligibility filtering — see
+    #: :mod:`repro.reduce`).
     reduce: str = "none"
     #: Why the eligibility scan withheld reductions (empty when nothing
     #: was withheld) — surfaced by ``render_perf`` and Table 1.
@@ -173,7 +174,7 @@ class ExplorationResult:
     dedup_hits: int = 0
     dedup_lookups: int = 0
     elapsed: float = 0.0
-    #: When a caller binds a list here before ``run_from``, every
+    #: When a caller binds a list here before a search, every
     #: expansion appends its dedup key ``(config, hist, obs)``; the
     #: parallel driver digests these (structurally, so the count survives
     #: pickling) for cross-task expansion dedup.  ``None`` disables the
@@ -203,19 +204,60 @@ def initial_config(program: Program) -> Config:
     return Config(threads, sigma_c, sigma_o)
 
 
-class Explorer:
+class SearchCore:
+    """The successor generator's side of :func:`search`: no reductions.
+
+    The search loop reads this bookkeeping after every expansion.  A core
+    that reduces nothing (the instrumented run) keeps these defaults;
+    :class:`Explorer` updates them on every ``_expand`` call.
+    """
+
+    #: Sleep-set POR on, and the thread-identity permuter (``None``: off).
+    _sleep = False
+    _tsym: Optional[ThreadPermuter] = None
+    #: Sleep sets of the successors the most recent expansion returned
+    #: (aligned with its result list), or ``None`` when the sleep-set
+    #: layer was off for that call.
+    _succ_sleeps: Optional[List[FrozenSet[int]]] = None
+    #: True when the most recent expansion applied partial-order
+    #: reduction (so a node whose successors all dedup away must be
+    #: re-expanded fully — the cycle proviso, see :func:`search`).
+    last_expand_reduced = False
+    #: Rollback bookkeeping for the cycle proviso: how much the most
+    #: recent expansion added to ``por_pruned`` / ``sleep_skipped``.  Both
+    #: are reset at the top of every expansion — a re-expansion must
+    #: never roll back a *previous* node's accounting.
+    _last_pruned = 0
+    _last_slept = 0
+    #: Reduction counters, accumulated across searches; each search
+    #: transfers its own deltas into its result.
+    por_pruned = 0
+    sym_merged = 0
+    sleep_skipped = 0
+    tsym_merged = 0
+
+    def __init__(self) -> None:
+        #: Exploration diagnostics (deduplicated, e.g. atomic-loop fuel
+        #: cuts); each search transfers the new ones into its result.
+        self.diagnostics: List[str] = []
+
+
+class Explorer(SearchCore):
     """Exhaustive bounded interleaving exploration of a program.
 
     ``reduce`` selects the state-space reductions (``"none"`` / ``"por"``
-    / ``"por+sym"``; ``None`` means the default, everything on — see
-    :mod:`repro.reduce`).  The requested mode is filtered against the
-    program's static eligibility, so the explored history and
-    observable-trace sets are always exactly those of the unreduced
-    search.
+    / ``"por+sym"`` / ``"por+sym+tsym"``; ``None`` means the default,
+    everything on — see :mod:`repro.reduce`).  The requested mode is
+    filtered against the program's static eligibility, so the explored
+    history and observable-trace sets are always exactly those of the
+    unreduced search.
+
+    The explorer is the successor generator of the explore and product
+    searches; :func:`search` drives it with a payload.
     """
 
     def __init__(self, program: Program, limits: Optional[Limits] = None,
-                 reduce: Optional[str] = None, ownership: str = "field",
+                 reduce: Optional[str] = None,
                  semantics: Optional[str] = None):
         # Imported lazily: repro.compile builds on repro.semantics.
         from ..compile import (
@@ -227,36 +269,14 @@ class Explorer:
             validate_semantics,
         )
 
+        super().__init__()
         self.program = program
         self.impl: ObjectImpl = program.object_impl
         self.limits = limits or Limits()
         self.private_client_vars = program.private_client_vars
-        self.policy = resolve_policy(program, reduce, ownership=ownership)
+        self.policy = resolve_policy(program, reduce)
         self.interner: Optional[Interner] = (
             Interner() if self.policy.intern else None)
-        # Reduction counters, accumulated across run_from calls; the
-        # per-call deltas are transferred into each result.
-        self.por_pruned = 0
-        self.sym_merged = 0
-        self.sleep_skipped = 0
-        self.tsym_merged = 0
-        #: Rollback bookkeeping for the cycle proviso: how much the most
-        #: recent ``_expand`` added to ``por_pruned`` / ``sleep_skipped``.
-        #: Both are reset at the top of every ``_expand`` — a re-expansion
-        #: must never roll back a *previous* node's accounting.
-        self._last_pruned = 0
-        self._last_slept = 0
-        #: Sleep sets of the successors the most recent ``_expand``
-        #: returned (aligned with its result list), or ``None`` when the
-        #: sleep-set layer was off for that call.
-        self._succ_sleeps: Optional[List[FrozenSet[int]]] = None
-        #: True when the most recent ``_expand`` applied partial-order
-        #: reduction (so a caller whose successors all dedup away must
-        #: re-expand fully — the cycle proviso, see ``run_from``).
-        self.last_expand_reduced = False
-        #: Exploration diagnostics (deduplicated, e.g. atomic-loop fuel
-        #: cuts); transferred into each result by ``run_from``.
-        self.diagnostics: List[str] = []
         self._diag_seen: Set[str] = set()
 
         if semantics is None:
@@ -468,173 +488,22 @@ class Explorer:
                 nodes.append((start, (), (), 0))
         return nodes
 
-    def run(self) -> ExplorationResult:
-        result = ExplorationResult()
+    def stamp(self, result) -> None:
+        """Record the reduction mode and step semantics in force."""
+
         result.reduce = self.policy.effective
         result.reduce_reasons = self.policy.reasons
         result.semantics = self.semantics
         result.semantics_reasons = self.semantics_reasons
-        result.histories.add(())
-        result.observables.add(())
-        spilled = self.run_from(self.start_nodes(), self.limits.max_nodes,
-                                result)
-        if spilled:
-            result.bounded = True
-        self.close_result(result)
-        return result
+
+    def run(self) -> ExplorationResult:
+        return run_search(TracePayload(self))
 
     def run_from(self, frontier: Sequence[ExploreNode], node_budget: int,
                  result: ExplorationResult) -> List[ExploreNode]:
-        """Expand up to ``node_budget`` nodes starting from ``frontier``.
+        """:func:`search` with the trace-set payload (see there)."""
 
-        Mutates ``result`` in place and returns the *spilled* frontier —
-        the nodes left unexpanded when the budget ran out (empty when the
-        subtree was exhausted).  This is the unit of work the parallel
-        engine distributes; the sequential :meth:`run` is a single call
-        with the full node budget.
-
-        Accounting is exact: a node is charged against the budget only
-        when it is actually expanded, so a spilled frontier node costs
-        nothing until some later call expands it (``result.nodes`` equals
-        the number of ``_expand`` calls across spill/resume cycles).
-        """
-
-        limits = self.limits
-        sleep_on = self._sleep
-        tsym = self._tsym
-        # Node = (config, history, observable); depth tracked separately so
-        # revisits through shorter paths don't defeat deduplication.  Under
-        # sleep sets the map remembers the smallest sleep set each node was
-        # pushed with (Godefroid's variant): a revisit with a superset
-        # sleep is covered by the earlier visit, anything else re-explores
-        # with the intersection.
-        seen: Dict[Tuple[Config, Trace, Trace], FrozenSet[int]] = {}
-        for node in frontier:
-            seen[(node[0], node[1], node[2])] = (
-                node[4] if len(node) > 4 else _NO_SLEEP)
-        stack: List[tuple] = list(frontier)
-        expanded_here = 0
-        pruned0, merged0 = self.por_pruned, self.sym_merged
-        slept0, tmerged0 = self.sleep_skipped, self.tsym_merged
-        diag0 = len(self.diagnostics)
-        started = perf_counter()
-
-        try:
-            while stack:
-                if expanded_here >= node_budget:
-                    return [n[:4] if len(n) > 4 else n for n in stack]
-                node = stack.pop()
-                config, hist, obs, depth = node[0], node[1], node[2], node[3]
-                sleep = node[4] if len(node) > 4 else _NO_SLEEP
-                expanded_here += 1
-                result.nodes += 1
-                if result.expanded_keys is not None:
-                    result.expanded_keys.append((config, hist, obs))
-                tsym_k = None
-                if tsym is not None:
-                    pinned = ({e.thread for e in hist}
-                              | {e.thread for e in obs})
-                    k = len(pinned)
-                    # Rotate only while the canonical-pinning invariant
-                    # (event-emitting threads are exactly 1..k) holds — a
-                    # permutation bail on an ancestor may have broken it,
-                    # and rotating then would rename a pinned identity.
-                    if not pinned or max(pinned) == k:
-                        tsym_k = k
-                sym_snap, tsym_snap = self.sym_merged, self.tsym_merged
-                successors = self._expand(config, sleep=sleep,
-                                          tsym_k=tsym_k)
-                succ_sleeps = self._succ_sleeps
-                reduced = self.last_expand_reduced
-                if not successors and self._last_slept:
-                    # Every runnable thread was asleep.  Their futures are
-                    # covered by earlier siblings, but recording the node
-                    # as terminal would be wrong (it is not quiescent) —
-                    # re-expand ignoring sleep, rolling the skips back.
-                    self.sleep_skipped -= self._last_slept
-                    self.sym_merged = sym_snap
-                    self.tsym_merged = tsym_snap
-                    successors = self._expand(config, tsym_k=tsym_k)
-                    succ_sleeps = self._succ_sleeps
-                    reduced = self.last_expand_reduced
-                if not successors:
-                    # Quiescent or deadlocked: record the terminal trace.
-                    result.add_prefixes(obs)
-                    result.terminal_configs.add(config)
-                    continue
-                if depth >= limits.max_depth:
-                    result.bounded = True
-                    result.add_prefixes(obs)
-                    continue
-                while True:
-                    fresh = 0
-                    for sidx, (next_config, event) in enumerate(successors):
-                        new_hist = hist
-                        new_obs = obs
-                        if event is not None:
-                            if event.is_object_event:
-                                new_hist = hist + (event,)
-                                result.histories.add(new_hist)
-                            if event.is_observable:
-                                new_obs = obs + (event,)
-                                result.add_prefixes(new_obs)
-                        if next_config is None:
-                            # Aborted execution: trace ends here.
-                            result.aborted = True
-                            continue
-                        key = (next_config, new_hist, new_obs)
-                        ns = (succ_sleeps[sidx]
-                              if succ_sleeps is not None else _NO_SLEEP)
-                        result.dedup_lookups += 1
-                        stored = seen.get(key)
-                        if stored is not None:
-                            if stored <= ns:
-                                result.dedup_hits += 1
-                                continue
-                            # Seen before, but with threads asleep that
-                            # are awake now: re-explore with the
-                            # intersection so no future is lost.
-                            ns = stored & ns
-                        seen[key] = ns
-                        stack.append(
-                            (next_config, new_hist, new_obs, depth + 1, ns)
-                            if sleep_on else
-                            (next_config, new_hist, new_obs, depth + 1))
-                        fresh += 1
-                    if fresh == 0 and (reduced or self._last_slept):
-                        # Cycle proviso: the prioritized (or non-slept)
-                        # threads' successors all dedup into already-seen
-                        # nodes, so following only them could starve the
-                        # other threads' futures (a cycle of invisible
-                        # private steps).  Re-expand the node without any
-                        # reduction, rolling back this node's accounting
-                        # first so the re-expansion is charged exactly
-                        # once; the pruned successors stay deduplicated.
-                        self.por_pruned -= self._last_pruned
-                        self.sleep_skipped -= self._last_slept
-                        self.sym_merged = sym_snap
-                        self.tsym_merged = tsym_snap
-                        successors = self._expand(config, full=True,
-                                                  tsym_k=tsym_k)
-                        succ_sleeps = self._succ_sleeps
-                        reduced = False
-                        continue
-                    break
-            return []
-        finally:
-            result.elapsed += perf_counter() - started
-            result.por_pruned += self.por_pruned - pruned0
-            result.sym_merged += self.sym_merged - merged0
-            result.sleep_skipped += self.sleep_skipped - slept0
-            result.tsym_merged += self.tsym_merged - tmerged0
-            if len(self.diagnostics) > diag0:
-                # A transition was cut (e.g. atomic-loop fuel): the
-                # exploration is bounded, and the cut is surfaced.
-                result.bounded = True
-                fresh = [d for d in self.diagnostics[diag0:]
-                         if d not in result.diagnostics]
-                if fresh:
-                    result.diagnostics = result.diagnostics + tuple(fresh)
+        return search(TracePayload(self), frontier, node_budget, result)
 
     def _expand(self, config: Config, full: bool = False,
                 sleep: FrozenSet[int] = _NO_SLEEP,
@@ -867,6 +736,330 @@ class Explorer:
         return out
 
 
+# ---------------------------------------------------------------------------
+# The search loop and its payloads
+# ---------------------------------------------------------------------------
+
+
+#: Returned by :meth:`SearchPayload.step` to end the search at once: the
+#: successor settled the verdict (e.g. a history without linearization).
+STOP = object()
+
+
+class SearchPayload:
+    """What one search carries per node and does with it.
+
+    Every decider is the same depth-first search over a configuration
+    graph (:func:`search`); they differ only in what each node carries.
+    A node is ``(config, a, b, depth)``, where ``a`` and ``b`` are the
+    payload's own data: the history and observable trace (explore), the
+    monitor state set Σ and the history (product), or the history alone
+    (instrumented, whose configurations carry Δ).  The payload owns
+
+    * the dedup key (:meth:`key`);
+    * the update on each successor event (:meth:`step`);
+    * where the depth cut falls (:attr:`cut_before_expand`) and what a
+      path's end records (:meth:`close`);
+    * the stop condition (:meth:`step` returning :data:`STOP`, and
+      :meth:`stop` after each node);
+
+    plus the successor generator (:attr:`core` and :meth:`expand`) and
+    the result it fills (:meth:`new_result`, :meth:`roots`,
+    :meth:`finish`).  The same payload drives the random walk and the
+    parallel driver's tasks.
+    """
+
+    core: SearchCore
+    limits: Limits
+    #: True: a node at the depth cut is not expanded.  False: it is
+    #: expanded first, so a quiescent node there still ends as a leaf.
+    cut_before_expand = True
+
+    def new_result(self, **kwargs):
+        raise NotImplementedError
+
+    def roots(self, result) -> List[tuple]:
+        """The initial nodes (may record start-state failures)."""
+
+        raise NotImplementedError
+
+    def key(self, config, a, b):
+        raise NotImplementedError
+
+    def pinned(self, a, b) -> Set[int]:
+        """Threads whose identity an event already fixed (tsym)."""
+
+        raise NotImplementedError
+
+    def expand(self, config, a, b, result, full: bool = False,
+               sleep: FrozenSet[int] = _NO_SLEEP,
+               tsym_k: Optional[int] = None):
+        """Successor ``(config, event)`` pairs; ``None`` configs abort.
+
+        By default the core is an :class:`Explorer`, expanding the
+        configuration under its reductions.
+        """
+
+        return self.core._expand(config, full, sleep, tsym_k)
+
+    def step(self, a, b, event, next_config, result):
+        """The successor's ``(a, b)``; ``None`` to drop it; or STOP."""
+
+        raise NotImplementedError
+
+    def close(self, config, a, b, result, cut: bool) -> None:
+        """A path ends at this node: no successors, or the depth cut."""
+
+        if cut:
+            result.bounded = True
+
+    def stop(self, result) -> bool:
+        return False
+
+    def finish(self, result) -> None:
+        """Complete ``result`` once the whole search has been merged."""
+
+
+class TracePayload(SearchPayload):
+    """Explore: a node carries its history and observable trace, and
+    both are part of the dedup key; the result collects both sets."""
+
+    cut_before_expand = False
+
+    def __init__(self, explorer: Explorer):
+        self.core = explorer
+        self.limits = explorer.limits
+
+    def new_result(self, **kwargs) -> ExplorationResult:
+        result = ExplorationResult(**kwargs)
+        self.core.stamp(result)
+        result.histories.add(())
+        result.observables.add(())
+        return result
+
+    def roots(self, result) -> List[ExploreNode]:
+        return self.core.start_nodes()
+
+    def key(self, config, hist, obs):
+        return (config, hist, obs)
+
+    def pinned(self, hist, obs) -> Set[int]:
+        return {e.thread for e in hist} | {e.thread for e in obs}
+
+    def step(self, hist, obs, event, next_config, result):
+        if event is not None:
+            if event.is_object_event:
+                hist = hist + (event,)
+                result.histories.add(hist)
+            if event.is_observable:
+                obs = obs + (event,)
+                result.add_prefixes(obs)
+        if next_config is None:
+            # Aborted execution: trace ends here.
+            result.aborted = True
+            return None
+        return hist, obs
+
+    def close(self, config, hist, obs, result, cut):
+        result.add_prefixes(obs)
+        if cut:
+            result.bounded = True
+        else:
+            # Quiescent or deadlocked: a terminal configuration.
+            result.terminal_configs.add(config)
+
+    def finish(self, result) -> None:
+        self.core.close_result(result)
+
+
+def snapshot(core: SearchCore) -> Tuple[int, int, int, int, int]:
+    return (core.por_pruned, core.sym_merged, core.sleep_skipped,
+            core.tsym_merged, len(core.diagnostics))
+
+
+def account(core: SearchCore, before: Tuple[int, int, int, int, int],
+            started: float, result) -> None:
+    """Transfer the core's counter deltas since ``before`` (a
+    :func:`snapshot`) and the time since ``started`` into ``result``."""
+
+    result.elapsed += perf_counter() - started
+    result.por_pruned += core.por_pruned - before[0]
+    result.sym_merged += core.sym_merged - before[1]
+    result.sleep_skipped += core.sleep_skipped - before[2]
+    result.tsym_merged += core.tsym_merged - before[3]
+    if len(core.diagnostics) > before[4]:
+        # A transition was cut (e.g. atomic-loop fuel): the search is
+        # bounded, and the cut is surfaced on the result.
+        result.bounded = True
+        fresh = [d for d in core.diagnostics[before[4]:]
+                 if d not in result.diagnostics]
+        if fresh:
+            result.diagnostics = result.diagnostics + tuple(fresh)
+
+
+def search(payload: SearchPayload, frontier: Sequence[tuple],
+           node_budget: int, result) -> List[tuple]:
+    """Expand up to ``node_budget`` nodes starting from ``frontier``.
+
+    The one depth-first search of every decider (see
+    :class:`SearchPayload`).  Mutates ``result`` in place and returns the
+    *spilled* frontier — the nodes left unexpanded when the budget ran
+    out; empty when the subtree was exhausted or the payload stopped the
+    search.  This is the unit of work the parallel engine distributes; a
+    sequential run is a single call with the full node budget.
+
+    Accounting is exact: a node is charged against the budget only when
+    it is actually expanded, so a spilled frontier node costs nothing
+    until some later call expands it (``result.nodes`` counts the nodes
+    expanded across spill/resume cycles).  When ``result.expanded_keys``
+    is a list, each expansion appends its dedup key.
+    """
+
+    core = payload.core
+    max_depth = payload.limits.max_depth
+    cut_first = payload.cut_before_expand
+    key_of, step, expand = payload.key, payload.step, payload.expand
+    sleep_on = core._sleep
+    tsym = core._tsym
+    expanded_keys = result.expanded_keys
+    # The depth is kept out of the key so revisits through shorter paths
+    # don't defeat deduplication.  Under sleep sets the map remembers the
+    # smallest sleep set each node was pushed with (Godefroid's
+    # variant): a revisit with a superset sleep is covered by the earlier
+    # visit, anything else re-explores with the intersection.  Internal
+    # stack entries carry the sleep set as a fifth component, stripped
+    # again from any spilled frontier (waking a resumed node entirely is
+    # always sound).
+    seen: Dict[object, FrozenSet[int]] = {}
+    for node in frontier:
+        seen[key_of(node[0], node[1], node[2])] = (
+            node[4] if len(node) > 4 else _NO_SLEEP)
+    stack: List[tuple] = list(frontier)
+    expanded_here = 0
+    before = snapshot(core)
+    started = perf_counter()
+
+    def expand_fully(config, a, b, tsym_k, sym_snap, tsym_snap):
+        # Redo this node's expansion without any reduction, rolling its
+        # accounting back first so it is charged exactly once.
+        core.por_pruned -= core._last_pruned
+        core.sleep_skipped -= core._last_slept
+        core.sym_merged = sym_snap
+        core.tsym_merged = tsym_snap
+        return expand(config, a, b, result, full=True, tsym_k=tsym_k)
+
+    try:
+        while stack:
+            if expanded_here >= node_budget:
+                return [n[:4] if len(n) > 4 else n for n in stack]
+            node = stack.pop()
+            config, a, b, depth = node[0], node[1], node[2], node[3]
+            sleep = node[4] if len(node) > 4 else _NO_SLEEP
+            expanded_here += 1
+            if expanded_keys is not None:
+                expanded_keys.append(key_of(config, a, b))
+            if cut_first and depth >= max_depth:
+                payload.close(config, a, b, result, True)
+                continue
+            tsym_k = None
+            if tsym is not None:
+                pinned = payload.pinned(a, b)
+                k = len(pinned)
+                # Rotate only while the canonical-pinning invariant
+                # (event-emitting threads are exactly 1..k) holds — a
+                # permutation bail on an ancestor may have broken it, and
+                # rotating then would rename a pinned identity.
+                if not pinned or max(pinned) == k:
+                    tsym_k = k
+            sym_snap, tsym_snap = core.sym_merged, core.tsym_merged
+            successors = expand(config, a, b, result, sleep=sleep,
+                                tsym_k=tsym_k)
+            succ_sleeps = core._succ_sleeps
+            reduced = core.last_expand_reduced
+            if not successors and core._last_slept:
+                # Every runnable thread was asleep.  Their futures are
+                # covered by earlier siblings, but ending the path here
+                # would be wrong (the node is not quiescent) — re-expand
+                # ignoring sleep, rolling the skips back.
+                core.sleep_skipped -= core._last_slept
+                core.sym_merged = sym_snap
+                core.tsym_merged = tsym_snap
+                successors = expand(config, a, b, result, tsym_k=tsym_k)
+                succ_sleeps = core._succ_sleeps
+                reduced = core.last_expand_reduced
+            if not successors and reduced:
+                # Cycle proviso (below): a reduced expansion never ends a
+                # path by itself.
+                successors = expand_fully(config, a, b, tsym_k, sym_snap,
+                                          tsym_snap)
+                succ_sleeps = core._succ_sleeps
+                reduced = False
+            if not successors:
+                payload.close(config, a, b, result, False)
+                continue
+            if depth >= max_depth:
+                payload.close(config, a, b, result, True)
+                continue
+            while True:
+                fresh = 0
+                for sidx, (next_config, event) in enumerate(successors):
+                    child = step(a, b, event, next_config, result)
+                    if child is None:
+                        continue
+                    if child is STOP:
+                        return []
+                    ca, cb = child
+                    key = key_of(next_config, ca, cb)
+                    ns = (succ_sleeps[sidx]
+                          if succ_sleeps is not None else _NO_SLEEP)
+                    result.dedup_lookups += 1
+                    stored = seen.get(key)
+                    if stored is not None:
+                        if stored <= ns:
+                            result.dedup_hits += 1
+                            continue
+                        # Seen before, but with threads asleep that are
+                        # awake now: re-explore with the intersection so
+                        # no future is lost.
+                        ns = stored & ns
+                    seen[key] = ns
+                    stack.append((next_config, ca, cb, depth + 1, ns)
+                                 if sleep_on else
+                                 (next_config, ca, cb, depth + 1))
+                    fresh += 1
+                if fresh == 0 and (reduced or core._last_slept):
+                    # Cycle proviso: the prioritized (or non-slept)
+                    # threads' successors all dedup into already-seen
+                    # nodes, so following only them could starve the
+                    # other threads' futures (a cycle of invisible private
+                    # steps).  Re-expand the node without any reduction;
+                    # the pruned successors stay deduplicated.
+                    successors = expand_fully(config, a, b, tsym_k,
+                                              sym_snap, tsym_snap)
+                    succ_sleeps = core._succ_sleeps
+                    reduced = False
+                    continue
+                break
+            if payload.stop(result):
+                return []
+        return []
+    finally:
+        result.nodes += expanded_here
+        account(core, before, started, result)
+
+
+def run_search(payload: SearchPayload):
+    """The exact sequential search: one :func:`search` call from the
+    roots with the full node budget."""
+
+    result = payload.new_result()
+    if search(payload, payload.roots(result), payload.limits.max_nodes,
+              result):
+        result.bounded = True
+    payload.finish(result)
+    return result
+
+
 def explore(program: Program, limits: Optional[Limits] = None,
             engine=None) -> ExplorationResult:
     """Explore ``program`` with the selected engine.
@@ -880,13 +1073,6 @@ def explore(program: Program, limits: Optional[Limits] = None,
 
     # Imported lazily: repro.engine builds on this module.
     from ..engine.api import resolve_engine
-
-    spec = resolve_engine(engine)
-    if spec.sequential and not spec.memo:
-        return Explorer(program, limits, reduce=spec.reduce,
-                        ownership=spec.ownership,
-                        semantics=spec.semantics).run()
-
     from ..engine.dispatch import dispatch_explore
 
-    return dispatch_explore(program, limits, spec)
+    return dispatch_explore(program, limits, resolve_engine(engine))

@@ -20,6 +20,7 @@ import pytest
 from repro.algorithms import algorithm_names, get_algorithm
 from repro.engine import EngineSpec
 from repro.history.object_lin import check_object_linearizable
+from repro.instrument.runner import verify_instrumented
 from repro.semantics.mgc import mgc_program
 from repro.semantics.scheduler import explore
 
@@ -240,6 +241,28 @@ def test_parallel_spill_resubmission_keeps_subtrees():
     assert par.histories == seq.histories
     assert par.observables == seq.observables
     assert par.bounded == seq.bounded
+
+
+def test_parallel_instrumented_spill_keeps_subtrees():
+    """The instrumented run's parallel tasks used to be filtered against
+    *submitted* keys, dropping the subtrees of nodes a task spilled back
+    unexpanded (119 of the 163 histories survived here).  The shared
+    search core filters on *expanded* digests for every payload."""
+
+    alg = get_algorithm("ms_lock_free_queue")
+    w = alg.workload
+
+    def run(engine):
+        return verify_instrumented(
+            alg.instrumented, w.menu, 2, 1, alg.limits, alg.invariant,
+            alg.guarantee, history_complete=True, engine=engine)
+
+    seq = run(None)
+    par = run(EngineSpec("parallel", workers=2, spill_nodes=100))
+    assert len(seq.histories) == 163
+    assert par.histories == seq.histories
+    assert par.ok and seq.ok
+    assert par.nodes == seq.nodes
 
 
 def test_ineligible_program_degrades_silently():

@@ -1,5 +1,9 @@
 """Tests for bounded Definition-2 checking (both engines)."""
 
+import os
+import subprocess
+import sys
+
 import pytest
 
 from repro.history import check_object_linearizable
@@ -99,3 +103,43 @@ class TestMaximalHistories:
         h1 = (InvokeEvent(1, "f", 0),)
         h2 = (InvokeEvent(2, "g", 1),)
         assert set(maximal_histories({(), h1, h2})) == {h1, h2}
+
+    def test_order_is_total(self):
+        """Equal-length histories are ordered by their events' fields."""
+
+        from repro.semantics import InvokeEvent
+
+        h1 = (InvokeEvent(2, "f", 0),)
+        h2 = (InvokeEvent(1, "f", 0),)
+        assert maximal_histories({(), h1, h2}) == (h2, h1)
+        assert maximal_histories({(), h2, h1}) == (h2, h1)
+
+
+_DEFINITIONAL_RACY_COUNTER = """
+from repro.algorithms.counter_nonatomic import counter_phi, racy_counter
+from repro.algorithms.specs import counter_spec
+from repro.history import check_object_linearizable
+res = check_object_linearizable(racy_counter(), counter_spec(), [("inc", 0)],
+                                threads=2, ops_per_thread=2,
+                                phi=counter_phi(), definitional=True)
+print(res.ok, res.histories_checked, res.counterexample)
+"""
+
+
+def test_definitional_verdict_independent_of_hash_seed():
+    """The definitional check stops at its first bad maximal history;
+    that history, and the count checked before it, must not depend on
+    the interpreter's string-hash seed."""
+
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    outputs = set()
+    for seed in ("1", "2"):
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
+        env.pop("REPRO_ENGINE", None)
+        out = subprocess.run([sys.executable, "-c",
+                              _DEFINITIONAL_RACY_COUNTER],
+                             env=env, capture_output=True, text=True,
+                             check=True)
+        outputs.add(out.stdout)
+    assert len(outputs) == 1
+    assert outputs.pop().startswith("False ")
