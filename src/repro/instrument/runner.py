@@ -28,6 +28,7 @@ state space.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
@@ -131,13 +132,51 @@ class InstrumentedObject:
         return problems
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class IConfig:
-    """Configuration of the instrumented machine."""
+    """Configuration of the instrumented machine.
+
+    Hash-consed like :class:`repro.semantics.scheduler.Config`: the hash
+    is cached, and equality short-circuits on identity and on a hash
+    mismatch before walking the structure.
+    """
 
     threads: Tuple[Tuple[ThreadState, int], ...]  # (state, ops_left)
     sigma_o: Store
     delta: Delta
+    _hash = None  # cached hash, as on Config
+
+    def __eq__(self, other):
+        if self is other:
+            return True
+        if other.__class__ is not IConfig:
+            return NotImplemented
+        if hash(self) != hash(other):
+            return False
+        return (self.threads == other.threads
+                and self.sigma_o == other.sigma_o
+                and self.delta == other.delta)
+
+    def __hash__(self):
+        h = self._hash
+        if h is None:
+            h = hash((self.threads, self.sigma_o, self.delta))
+            object.__setattr__(self, "_hash", h)
+        return h
+
+    def interned(self, interner) -> "IConfig":
+        """This configuration built from ``interner``'s canonical
+        ``(thread state, ops left)`` pairs, σ_o and Δ (``self`` when it
+        already is)."""
+
+        threads = tuple(interner.pair(interner.thread_state(tstate), ops)
+                        for tstate, ops in self.threads)
+        sigma_o = interner.store(self.sigma_o)
+        delta = interner.delta(self.delta)
+        if (sigma_o is self.sigma_o and delta is self.delta
+                and all(map(operator.is_, threads, self.threads))):
+            return self
+        return IConfig(threads, sigma_o, delta)
 
 
 @dataclass
@@ -167,9 +206,10 @@ class InstrumentedRunResult:
     from_cache: bool = False
     #: Search counters, as on
     #: :class:`repro.semantics.scheduler.ExplorationResult`.  The
-    #: instrumented run has no reductions yet, so the reduction counters
-    #: stay zero; ``reexplored`` counts the parallel driver's repeated
-    #: expansions.
+    #: instrumented run hash-conses its configurations (thread states,
+    #: σ_o and Δ) but has no state-space reductions yet, so the reduction
+    #: counters stay zero; ``reexplored`` counts the parallel driver's
+    #: repeated expansions.
     diagnostics: Tuple[str, ...] = ()
     por_pruned: int = 0
     sym_merged: int = 0
@@ -442,7 +482,12 @@ class InstrumentedPayload(SearchPayload):
     """Fig. 11: a node is an :class:`IConfig` (carrying Δ) plus its
     history.  Successors come from :meth:`InstrumentedRunner._expand`,
     which checks the obligations on every step, with no reductions; the
-    search stops once ``max_failures`` failures are recorded."""
+    search stops once ``max_failures`` failures are recorded.
+
+    Only the configurations the search keeps are interned (roots and
+    successors, through the core's interner); the intermediate ones the
+    runner builds while unfolding a ``Seq`` are not.
+    """
 
     def __init__(self, runner: InstrumentedRunner):
         self.runner = runner
@@ -456,7 +501,9 @@ class InstrumentedPayload(SearchPayload):
 
     def roots(self, result) -> List[tuple]:
         start = self.runner.initial_config(result)
-        return [] if start is None else [(start, (), None, 0)]
+        if start is None:
+            return []
+        return [(self.core.interner.config(start), (), None, 0)]
 
     def key(self, config, hist, _unused):
         # With ``history_complete`` the history joins the key, so the
@@ -465,7 +512,9 @@ class InstrumentedPayload(SearchPayload):
 
     def expand(self, config, hist, _unused, result, full=False,
                sleep=frozenset(), tsym_k=None):
-        return self.runner._expand(config, hist, result)
+        intern = self.core.interner.config
+        return [(None if succ is None else intern(succ), event)
+                for succ, event in self.runner._expand(config, hist, result)]
 
     def step(self, hist, _unused, event, next_config, result):
         if event is not None:

@@ -1,8 +1,8 @@
 """State-space reduction for the exploration core.
 
-Five composable reductions, all gated by ``EngineSpec.reduce``
+Four composable reductions, gated by ``EngineSpec.reduce``
 (``"none" | "por" | "por+sym" | "por+sym+tsym"``, default
-``"por+sym+tsym"``):
+``"por+sym+tsym"``), plus hash-consing, which every search uses:
 
 * **partial-order reduction** (:mod:`repro.reduce.ownership`) — when a
   thread's next step is *invisible* (no event, cannot abort) and its
@@ -25,9 +25,13 @@ Five composable reductions, all gated by ``EngineSpec.reduce``
   canonical thread-identity space: the (k+1)-th thread to emit an event
   is rotated to *be* thread k+1, and the collected trace sets are closed
   under ``Sym(n)`` (:func:`close_traces`) at the end;
-* **hash-consing** (:mod:`repro.reduce.intern`) — configurations,
-  thread states and stores are interned with cached hashes so seen-set
-  membership stops re-walking structures.
+* **hash-consing** (:mod:`repro.reduce.intern`) — every search node's
+  state is interned with cached hashes: configurations (plain and
+  instrumented), thread states, frames, stores and the speculation
+  set Δ, so seen-set membership stops re-walking structures and equal
+  parts are stored once.  It lives in the search core
+  (:class:`repro.semantics.scheduler.SearchCore`), not in a reduction
+  mode.
 
 Which reductions can be applied soundly depends on the program;
 :mod:`repro.reduce.eligibility` performs the static scans and

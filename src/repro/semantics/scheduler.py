@@ -18,6 +18,7 @@ so expanding each such node once is complete.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field, replace
 from time import perf_counter
 from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
@@ -65,6 +66,10 @@ class Config:
     threads: Tuple[ThreadState, ...]
     sigma_c: Store
     sigma_o: Store
+    #: The cached hash: a class-level default (not a field) until
+    #: ``__hash__`` stores it on the instance, so reading it never
+    #: materializes the instance ``__dict__``.
+    _hash = None
 
     @property
     def quiescent(self) -> bool:
@@ -82,11 +87,23 @@ class Config:
                 and self.sigma_o == other.sigma_o)
 
     def __hash__(self):
-        h = self.__dict__.get("_hash")
+        h = self._hash
         if h is None:
             h = hash((self.threads, self.sigma_c, self.sigma_o))
             object.__setattr__(self, "_hash", h)
         return h
+
+    def interned(self, interner) -> "Config":
+        """This configuration built from ``interner``'s canonical
+        thread states and stores (``self`` when it already is)."""
+
+        threads = tuple(map(interner.thread_state, self.threads))
+        sigma_c = interner.store(self.sigma_c)
+        sigma_o = interner.store(self.sigma_o)
+        if (sigma_c is self.sigma_c and sigma_o is self.sigma_o
+                and all(map(operator.is_, threads, self.threads))):
+            return self
+        return Config(threads, sigma_c, sigma_o)
 
 
 @dataclass(frozen=True)
@@ -209,7 +226,9 @@ class SearchCore:
 
     The search loop reads this bookkeeping after every expansion.  A core
     that reduces nothing (the instrumented run) keeps these defaults;
-    :class:`Explorer` updates them on every ``_expand`` call.
+    :class:`Explorer` updates them on every ``_expand`` call.  Every core
+    carries the :class:`Interner` its successor configurations go
+    through, so equal node states are one object in every search.
     """
 
     #: Sleep-set POR on, and the thread-identity permuter (``None``: off).
@@ -240,6 +259,7 @@ class SearchCore:
         #: Exploration diagnostics (deduplicated, e.g. atomic-loop fuel
         #: cuts); each search transfers the new ones into its result.
         self.diagnostics: List[str] = []
+        self.interner = Interner()
 
 
 class Explorer(SearchCore):
@@ -275,8 +295,6 @@ class Explorer(SearchCore):
         self.limits = limits or Limits()
         self.private_client_vars = program.private_client_vars
         self.policy = resolve_policy(program, reduce)
-        self.interner: Optional[Interner] = (
-            Interner() if self.policy.intern else None)
         self._diag_seen: Set[str] = set()
 
         if semantics is None:
@@ -481,8 +499,7 @@ class Explorer(SearchCore):
                 start, changed = canonicalize_config(start, Store)
                 if changed:
                     self.sym_merged += 1
-            if self.interner is not None:
-                start = self.interner.config(start)
+            start = self.interner.config(start)
             if (start, (), ()) not in seen:
                 seen.add((start, (), ()))
                 nodes.append((start, (), (), 0))
@@ -653,6 +670,10 @@ class Explorer(SearchCore):
                     continue
                 if sym:
                     check_event_escape(outcome.event)
+                # Interned before the successor configurations are built,
+                # so the canonicalization cache's keys share their stores
+                # (and thread states) with the seen set.
+                sigma_o = interner.store(outcome.sigma_o)
                 # Compiled fast path: a step whose footprint provably
                 # left the sparse pointer structure of σ_o untouched
                 # keeps a canonical predecessor canonical — provided the
@@ -660,15 +681,15 @@ class Explorer(SearchCore):
                 # may rewrite without a footprint) kept the same sparse
                 # values too; those are checked per expansion below.
                 keeps = fast_sym and step_keeps_canonical(
-                    outcome.footprint, config.sigma_o, outcome.sigma_o)
+                    outcome.footprint, config.sigma_o, sigma_o)
                 expanded = self._visible(
-                    outcome.thread_state, outcome.sigma_c, outcome.sigma_o)
+                    outcome.thread_state, outcome.sigma_c, sigma_o)
                 for ts, sc in expanded:
-                    if interner is not None:
-                        ts = interner.thread_state(ts)
+                    ts = interner.thread_state(ts)
+                    sc = interner.store(sc)
                     threads = (config.threads[:idx] + (ts,)
                                + config.threads[idx + 1:])
-                    next_config = Config(threads, sc, outcome.sigma_o)
+                    next_config = Config(threads, sc, sigma_o)
                     event = outcome.event
                     rotated = False
                     if pi is not None and event is not None:
@@ -718,8 +739,7 @@ class Explorer(SearchCore):
                                     cache[key] = (next_config, changed)
                             if changed:
                                 self.sym_merged += 1
-                    if interner is not None:
-                        next_config = interner.config(next_config)
+                    next_config = interner.config(next_config)
                     out.append((next_config, event))
                     if succ_sleeps is not None:
                         succ_sleeps.append(

@@ -290,6 +290,7 @@ class Frame:
     retvar: str
     caller_control: Control
     method: str
+    _hash = None  # cached hash, as on Config
 
     def __eq__(self, other):
         if self is other:
@@ -304,7 +305,7 @@ class Frame:
                 and self.locals == other.locals)
 
     def __hash__(self):
-        h = self.__dict__.get("_hash")
+        h = self._hash
         if h is None:
             h = hash((self.locals, self.retvar, self.caller_control,
                       self.method))
@@ -316,6 +317,7 @@ class Frame:
 class ThreadState:
     control: Control
     frame: Optional[Frame] = None
+    _hash = None  # cached hash, as on Config
 
     @property
     def finished(self) -> bool:
@@ -341,7 +343,7 @@ class ThreadState:
                 and self.frame == other.frame)
 
     def __hash__(self):
-        h = self.__dict__.get("_hash")
+        h = self._hash
         if h is None:
             h = hash((self.control, self.frame))
             object.__setattr__(self, "_hash", h)

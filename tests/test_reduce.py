@@ -26,7 +26,7 @@ from repro.reduce import (
 from repro.reduce.symmetry import AddressEscapeError, check_event_escape
 from repro.semantics.events import ReturnEvent
 from repro.semantics.mgc import mgc_program
-from repro.semantics.scheduler import Config
+from repro.semantics.scheduler import Config, Explorer, search
 from repro.semantics.thread import Frame, ThreadState
 
 
@@ -106,9 +106,9 @@ def test_resolve_policy_default_and_none():
     prog = _program_for("treiber")
     policy = resolve_policy(prog, None)
     assert policy.mode == DEFAULT_REDUCE
-    assert policy.por and policy.sym and policy.intern
+    assert policy.por and policy.sym
     inert = resolve_policy(prog, "none")
-    assert not inert.por and not inert.sym and not inert.intern
+    assert not inert.por and not inert.sym
     assert inert.effective == "none"
     with pytest.raises(Exception):
         resolve_policy(prog, "bogus")
@@ -118,7 +118,10 @@ def test_resolve_policy_degrades_for_ineligible():
     policy = resolve_policy(_program_for("ccas"), "por+sym")
     assert not policy.por and not policy.sym
     assert policy.effective == "none"
-    assert policy.intern  # hash-consing is always sound
+    # Hash-consing is always sound, so it is no policy: every search core
+    # interns, whatever reductions the program admits.
+    explorer = Explorer(_program_for("ccas"), reduce="por+sym")
+    assert isinstance(explorer.interner, Interner)
 
 
 # ---------------------------------------------------------------------------
@@ -226,6 +229,88 @@ def test_interner_returns_identical_objects():
     t1 = interner.thread_state(ThreadState(control=()))
     t2 = interner.thread_state(ThreadState(control=()))
     assert t1 is t2
+
+    # Two different configurations with equal but separately built
+    # parts, and a different thread around an equal frame: after
+    # interning, every equal part is one object.
+    def with_frame(other_control):
+        frame = Frame(locals=Store({"x": 1, "y": 2}), retvar="r",
+                      caller_control=(), method="m")
+        return Config(
+            threads=(ThreadState(control=(), frame=frame),
+                     ThreadState(control=other_control)),
+            sigma_c=Store({"a": 1}), sigma_o=Store({"S": 0}))
+
+    c1 = interner.config(with_frame(()))
+    c2 = interner.config(with_frame((ret("x"),)))
+    assert c1 is not c2 and c1 != c2
+    assert c1.sigma_o is c2.sigma_o
+    assert c1.sigma_c is c2.sigma_c
+    assert c1.threads[0] is c2.threads[0]
+    assert c1.threads[0].frame is c2.threads[0].frame
+    frame = with_frame(()).threads[0].frame
+    t3 = interner.thread_state(ThreadState(control=(ret("y"),), frame=frame))
+    assert t3.frame is c1.threads[0].frame
+    assert t3.frame.locals is c1.threads[0].frame.locals
+    assert interner.store(Store({"x": 1, "y": 2})) is t3.frame.locals
+
+
+def _expanded_keys(payload):
+    result = payload.new_result()
+    result.expanded_keys = []
+    assert not search(payload, payload.roots(result),
+                      payload.limits.max_nodes, result)
+    assert result.nodes == len(result.expanded_keys) > 100
+    return result.expanded_keys
+
+
+def _assert_one_object_per_value(parts):
+    for kind, objects in parts.items():
+        assert objects, kind
+        assert len({id(o) for o in objects}) == len(set(objects)), kind
+
+
+def _thread_parts(parts, tstates):
+    for tstate in tstates:
+        parts["thread"].append(tstate)
+        if tstate.frame is not None:
+            parts["frame"].append(tstate.frame)
+            parts["locals"].append(tstate.frame.locals)
+
+
+def test_product_search_nodes_are_fully_hash_consed():
+    from repro.history.object_lin import ProductPayload
+
+    alg = get_algorithm("treiber")
+    payload = ProductPayload(_program_for("treiber"), alg.spec, alg.limits)
+    parts = {k: [] for k in ("config", "thread", "frame", "locals",
+                             "sigma_c", "sigma_o")}
+    for config, _states in _expanded_keys(payload):
+        parts["config"].append(config)
+        parts["sigma_c"].append(config.sigma_c)
+        parts["sigma_o"].append(config.sigma_o)
+        _thread_parts(parts, config.threads)
+    _assert_one_object_per_value(parts)
+
+
+def test_instrumented_search_nodes_are_fully_hash_consed():
+    from repro.instrument.runner import InstrumentedPayload, InstrumentedRunner
+
+    alg = get_algorithm("treiber")
+    runner = InstrumentedRunner(alg.instrumented, alg.workload.menu, 2, 1,
+                                alg.limits, alg.invariant, alg.guarantee)
+    parts = {k: [] for k in ("config", "pair", "thread", "frame", "locals",
+                             "sigma_o", "delta", "U", "theta")}
+    for config in _expanded_keys(InstrumentedPayload(runner)):
+        parts["config"].append(config)
+        parts["pair"].extend(config.threads)
+        parts["sigma_o"].append(config.sigma_o)
+        parts["delta"].append(config.delta)
+        for pending, theta in config.delta:
+            parts["U"].append(pending)
+            parts["theta"].append(theta)
+        _thread_parts(parts, [tstate for tstate, _ops in config.threads])
+    _assert_one_object_per_value(parts)
 
 
 def test_config_hash_is_cached_and_stable():
